@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core.{Measures, Tokenizer}
+import repro.join.{LocalJoin, Pebbles}
 
 /** Reimplementation of AdaptJoin [53] (Wang et al., SIGMOD 2012):
   * gram-based similarity join with the adaptive ℓ-prefix scheme.
@@ -24,13 +25,8 @@ object AdaptJoin {
     Tokenizer.qgramList(s.trim.toLowerCase, q)
 
   /** Global rarest-first gram order of a collection. */
-  def gramOrder(strings: Iterable[String], q: Int): Map[String, Int] = {
-    val freq = scala.collection.mutable.HashMap[String, Int]()
-    for (s <- strings; g <- grams(s, q).toSet[String])
-      freq.update(g, freq.getOrElse(g, 0) + 1)
-    freq.toSeq.sortBy { case (g, f) => (f, g) }.iterator.zipWithIndex
-      .map { case ((g, _), r) => g -> r }.toMap
-  }
+  def gramOrder(strings: Iterable[String], q: Int): Map[String, Int] =
+    Pebbles.keyOrder(strings.iterator.map(grams(_, q)))
 
   /** ℓ-prefix of a string: the first |G| − ⌈θ|G|⌉ + ℓ grams, rarest first. */
   def prefix(s: String, theta: Double, ell: Int, order: Map[String, Int], q: Int): Set[String] = {
@@ -47,15 +43,7 @@ object AdaptJoin {
       q: Int,
   ): Vector[(Int, Int)] = {
     val prefixes = strings.map(prefix(_, theta, ell, order, q))
-    val inv = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
-    for (i <- strings.indices; g <- prefixes(i))
-      inv.getOrElseUpdate(g, scala.collection.mutable.ArrayBuffer()) += i
-    val counts = scala.collection.mutable.HashMap[(Int, Int), Int]()
-    for ((_, ids) <- inv; a <- 0 until ids.length; b <- a + 1 until ids.length) {
-      val key = (ids(a), ids(b))
-      counts.update(key, counts.getOrElse(key, 0) + 1)
-    }
-    counts.iterator.collect { case (p, c) if c >= ell => p }.toVector.sorted
+    LocalJoin.filterStage(prefixes, prefixes, tau = ell, selfJoin = true)._2
   }
 
   /** Choose the global ℓ minimising estimated cost on a sample. */

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core._
+import repro.join.LocalJoin
 
 /** Reimplementation of K-Join [46] (Shang et al., TKDE 2016):
   * knowledge-aware similarity join on taxonomy signatures.
@@ -35,13 +36,7 @@ object KJoin {
   /** Self-join: pairs (i, j, sim) with i < j and taxonomy sim ≥ θ. */
   def join(k: Knowledge, strings: IndexedSeq[String], theta: Double): Vector[(Int, Int, Double)] = {
     val sigs = strings.map(signature(k, _, theta))
-    val inv = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
-    for (i <- strings.indices; key <- sigs(i))
-      inv.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer()) += i
-    val cands = scala.collection.mutable.HashSet[(Int, Int)]()
-    for ((_, ids) <- inv; a <- 0 until ids.length; b <- a + 1 until ids.length)
-      cands += ((ids(a), ids(b)))
-    cands.toVector.sorted.flatMap { case (i, j) =>
+    LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
       if (x >= theta - 1e-12) Some((i, j, x)) else None
     }

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core.{Knowledge, Tokenizer}
+import repro.join.LocalJoin
 
 /** Reimplementation of PKduck [50] (Tao et al., PVLDB 2017):
   * similarity join under synonym/abbreviation rules, where the
@@ -72,13 +73,7 @@ object PKduck {
   /** Self-join: pairs with PKduck similarity ≥ θ. */
   def join(k: Knowledge, strings: IndexedSeq[String], theta: Double): Vector[(Int, Int, Double)] = {
     val sigs = strings.map(signature(k, _))
-    val inv = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
-    for (i <- strings.indices; key <- sigs(i))
-      inv.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer()) += i
-    val cands = scala.collection.mutable.HashSet[(Int, Int)]()
-    for ((_, ids) <- inv; a <- 0 until ids.length; b <- a + 1 until ids.length)
-      cands += ((ids(a), ids(b)))
-    cands.toVector.sorted.flatMap { case (i, j) =>
+    LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
       if (x >= theta - 1e-12) Some((i, j, x)) else None
     }

@@ -9,14 +9,16 @@ object Measures {
   val DefaultQ = 2
 
   /** Gram-based Jaccard coefficient (Eq 1) on the texts of two spans. */
-  def jaccard(a: String, b: String, q: Int = DefaultQ): Double = {
-    val ga = Tokenizer.qgrams(a, q)
-    val gb = Tokenizer.qgrams(b, q)
-    if (ga.isEmpty && gb.isEmpty) 0.0
-    else {
-      val inter = ga.count(gb.contains)
-      inter.toDouble / (ga.size + gb.size - inter)
-    }
+  def jaccard(a: String, b: String, q: Int = DefaultQ): Double =
+    jaccard(Tokenizer.qgrams(a, q), Tokenizer.qgrams(b, q))
+
+  /** Jaccard coefficient of two gram sets; 0 when they share no gram
+    * (two empty sets included). Probes the smaller set into the larger.
+    */
+  def jaccard(ga: Set[String], gb: Set[String]): Double = {
+    val (small, large) = if (ga.size <= gb.size) (ga, gb) else (gb, ga)
+    val inter = small.count(large.contains)
+    if (inter == 0) 0.0 else inter.toDouble / (ga.size + gb.size - inter)
   }
 
   /** Synonym similarity (Eq 2): C(R) if a rule maps one span to the

@@ -9,13 +9,14 @@ import scala.collection.mutable
   * (exponential in the claw bound d). We seed with a maximal IS chosen
   * greedily by weight and improve with talon sets of size 1 and 2 on
   * squared weights — the moves that drive Berman's d/2 analysis — with
-  * a pass cap for termination. Pair talons are skipped on graphs past
-  * `pairTalonLimit` vertices to keep per-pair verification cheap (see
-  * DESIGN.md §4).
+  * a pass cap (`MaxPasses`) for termination. Pair talons are skipped on
+  * graphs past `PairTalonLimit` vertices to keep per-pair verification
+  * cheap (see DESIGN.md §4).
   */
 object SquareImp {
 
-  val DefaultPairTalonLimit = 60
+  val PairTalonLimit = 60
+  val MaxPasses = 100
 
   /** Greedy maximal independent set by descending weight. */
   def greedy(g: UsimGraph): mutable.LinkedHashSet[Int] = {
@@ -31,14 +32,14 @@ object SquareImp {
   }
 
   /** Squared-weight local search from the greedy seed. */
-  def solve(g: UsimGraph, pairTalonLimit: Int = DefaultPairTalonLimit, maxPasses: Int = 100): Set[Int] = {
+  def solve(g: UsimGraph): Set[Int] = {
     val a = greedy(g)
     val n = g.size
     def sq(i: Int): Double = g.weights(i) * g.weights(i)
     var improved = true
     var passes = 0
     val eps = 1e-12
-    while (improved && passes < maxPasses) {
+    while (improved && passes < MaxPasses) {
       improved = false
       passes += 1
       // single talons
@@ -54,7 +55,7 @@ object SquareImp {
         v += 1
       }
       // pair talons
-      if (n <= pairTalonLimit) {
+      if (n <= PairTalonLimit) {
         var v1 = 0
         while (v1 < n) {
           if (!a.contains(v1)) {

@@ -5,7 +5,9 @@ package repro.core
   */
 object Usim {
 
-  /** Default t parameter of Algorithm 1 (improvement floor 1/t). */
+  /** Default t parameter of Algorithm 1: the cap on its improvement
+    * iterations (see `approxOnGraph`).
+    */
   val DefaultT = 20
 
   /** Vertex-count cap for the exact algorithm — beyond this the
@@ -25,13 +27,6 @@ object Usim {
 
   // ---------------------------------------------------------------- approx
 
-  /** Algorithm 1: SquareImp seed + GetSim claw-improvement loop.
-    *
-    * Moves are evaluated numerically: vertices of an independent set
-    * have pairwise-disjoint masks, so removing N(v, A) is an XOR on the
-    * coverage masks and a subtraction on the weight — no allocation in
-    * the O(n²) pair-talon scan.
-    */
   /** When every vertex pairs two single tokens, partitions are forced to
     * all-singletons and USIM is exactly a maximum-weight assignment —
     * solved optimally by Hungarian in O(len³), no MIS needed. This is
@@ -67,6 +62,14 @@ object Usim {
     (if (den == 0) 0.0 else total / den, sel)
   }
 
+  /** Algorithm 1: SquareImp seed + GetSim claw-improvement loop over
+    * talon sets of size 1 and 2, capped at `tParam` iterations.
+    *
+    * Moves are evaluated numerically: vertices of an independent set
+    * have pairwise-disjoint masks, so removing N(v, A) is an XOR on the
+    * coverage masks and a subtraction on the weight — no allocation in
+    * the O(n²) pair-talon scan.
+    */
   def approxOnGraph(g: UsimGraph, tParam: Int = DefaultT): (Double, Set[Int]) = {
     val n = g.size
     if (n > 0 && singlesOnly(g)) return solveSingles(g)
@@ -77,15 +80,9 @@ object Usim {
     var mS = 0L
     var mT = 0L
     for (i <- a) { sumW += g.weights(i); mS |= g.maskS(i); mT |= g.maskT(i) }
-    def simOf(w: Double, cnt: Int, ms: Long, mt: Long): Double = {
-      val den = cnt + math.max(
-        g.sLen - java.lang.Long.bitCount(ms),
-        g.tLen - java.lang.Long.bitCount(mt))
-      if (den == 0) 0.0 else w / den
-    }
-    var cur = simOf(sumW, a.size, mS, mT)
+    var cur = g.getSim(sumW, a.size, mS, mT)
 
-    val pairLimit = SquareImp.DefaultPairTalonLimit
+    val pairLimit = SquareImp.PairTalonLimit
     // per-candidate conflict aggregates against the current A
     val confW = new Array[Double](n)
     val confCnt = new Array[Int](n)
@@ -126,7 +123,7 @@ object Usim {
       v = 0
       while (v < n) {
         if (!a.contains(v)) {
-          val sim = simOf(sumW - confW(v) + g.weights(v), a.size - confCnt(v) + 1,
+          val sim = g.getSim(sumW - confW(v) + g.weights(v), a.size - confCnt(v) + 1,
             (mS ^ confMS(v)) | g.maskS(v), (mT ^ confMT(v)) | g.maskT(v))
           if (sim > bestSim) { bestSim = sim; bestAdd1 = v; bestAdd2 = -1 }
         }
@@ -157,7 +154,7 @@ object Usim {
                 val c = a.size - confCnt(v1) - confCnt(v2) + sharedC + 2
                 val ms = (mS ^ (confMS(v1) | confMS(v2))) | g.maskS(v1) | g.maskS(v2)
                 val mt = (mT ^ (confMT(v1) | confMT(v2))) | g.maskT(v1) | g.maskT(v2)
-                val sim = simOf(w, c, ms, mt)
+                val sim = g.getSim(w, c, ms, mt)
                 if (sim > bestSim) { bestSim = sim; bestAdd1 = v1; bestAdd2 = v2 }
               }
               v2 += 1
@@ -179,7 +176,7 @@ object Usim {
           a += add
           sumW += g.weights(add); mS |= g.maskS(add); mT |= g.maskT(add)
         }
-        cur = simOf(sumW, a.size, mS, mT)
+        cur = g.getSim(sumW, a.size, mS, mT)
         progress = true
       }
     }
@@ -223,15 +220,8 @@ object Usim {
 
     var best = approxOnGraph(g)._1 // seed with the approximation (a valid solution)
 
-    def sim(sumW: Double, cnt: Int, mS: Long, mT: Long): Double = {
-      val den = cnt + math.max(
-        g.sLen - java.lang.Long.bitCount(mS),
-        g.tLen - java.lang.Long.bitCount(mT))
-      if (den == 0) 0.0 else sumW / den
-    }
-
     def dfs(idx: Int, mS: Long, mT: Long, cnt: Int, sumW: Double): Unit = {
-      val cur = sim(sumW, cnt, mS, mT)
+      val cur = g.getSim(sumW, cnt, mS, mT)
       if (cur > best) best = cur
       if (idx >= n) return
       if ((sumW + suffix(idx)) / minDen <= best) return // optimistic bound

@@ -47,17 +47,22 @@ final class UsimGraph(
   def getSim(sel: Iterable[Int]): Double = {
     var w = 0.0; var ms = 0L; var mt = 0L; var n = 0
     for (i <- sel) { w += weights(i); ms |= maskS(i); mt |= maskT(i); n += 1 }
-    val den = n + math.max(sLen - java.lang.Long.bitCount(ms), tLen - java.lang.Long.bitCount(mt))
+    getSim(w, n, ms, mt)
+  }
+
+  /** GetSim from an independent set's aggregates: total weight `w` of
+    * its `cnt` vertices, whose spans cover the tokens in `ms` / `mt`.
+    * Every uncovered token counts as one singleton segment (Eq 6).
+    */
+  def getSim(w: Double, cnt: Int, ms: Long, mt: Long): Double = {
+    val den = cnt + math.max(sLen - java.lang.Long.bitCount(ms), tLen - java.lang.Long.bitCount(mt))
     if (den == 0) 0.0 else w / den
   }
 }
 
 object UsimGraph {
 
-  private def mask(seg: Segment): Long = {
-    require(seg.end <= 64, s"strings longer than 64 tokens unsupported (${seg.end})")
-    ((1L << seg.length) - 1L) << seg.start
-  }
+  private def mask(seg: Segment): Long = ((1L << seg.length) - 1L) << seg.start
 
   /** Graph construction of §2.3: enumerate candidate segment pairs per
     * enabled measure, weight each by msim, merge duplicates by max.
@@ -69,9 +74,7 @@ object UsimGraph {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): UsimGraph = {
-    // J-only: no rule/taxonomy vertices can exist, so skip the knowledge
-    // scan and emit token-pair vertices directly (hot verification path).
-    if (!measures.s && !measures.t) return buildJaccardOnly(sToks, tToks, q)
+    require(sToks.length <= 64 && tToks.length <= 64, "strings longer than 64 tokens unsupported")
     val sSegs = Segments.wellDefined(k, sToks)
     val tSegs = Segments.wellDefined(k, tToks)
     val tBySpan: Map[Vector[String], Seq[Int]] =
@@ -84,18 +87,6 @@ object UsimGraph {
     val gramCache = mutable.HashMap[String, Set[String]]()
     def grams(text: String): Set[String] =
       gramCache.getOrElseUpdate(text, Tokenizer.qgrams(text, q))
-    def fastJaccard(a: String, b: String): Double = {
-      val ga = grams(a)
-      val gb = grams(b)
-      if (ga.isEmpty || gb.isEmpty) 0.0
-      else {
-        val (small, large) = if (ga.size <= gb.size) (ga, gb) else (gb, ga)
-        var inter = 0
-        val it = small.iterator
-        while (it.hasNext) if (large.contains(it.next())) inter += 1
-        if (inter == 0) 0.0 else inter.toDouble / (ga.size + gb.size - inter)
-      }
-    }
 
     // (c) single-token pairs — gram Jaccard applies to any of them.
     if (measures.j) {
@@ -129,7 +120,7 @@ object UsimGraph {
       // msim inline: Jaccard via the gram cache, synonym/taxonomy via the
       // same lookups as Measures.msim.
       var w = 0.0
-      if (measures.j) w = fastJaccard(sSegs(si).text, tSegs(ti).text)
+      if (measures.j) w = Measures.jaccard(grams(sSegs(si).text), grams(tSegs(ti).text))
       if (measures.s) {
         val x = Measures.synonym(k, sSegs(si).tokens, tSegs(ti).tokens)
         if (x > w) w = x
@@ -145,40 +136,6 @@ object UsimGraph {
         vs += sSegs(si)
         vt += tSegs(ti)
       }
-    }
-    new UsimGraph(sToks.length, tToks.length, ws.result(), mS.result(), mT.result(),
-      vs.result(), vt.result())
-  }
-
-  private def buildJaccardOnly(sToks: Vector[String], tToks: Vector[String], q: Int): UsimGraph = {
-    require(sToks.length <= 64 && tToks.length <= 64, "strings longer than 64 tokens unsupported")
-    val sGrams = sToks.map(Tokenizer.qgrams(_, q))
-    val tGrams = tToks.map(Tokenizer.qgrams(_, q))
-    val ws = Array.newBuilder[Double]
-    val mS = Array.newBuilder[Long]
-    val mT = Array.newBuilder[Long]
-    val vs = Array.newBuilder[Segment]
-    val vt = Array.newBuilder[Segment]
-    var i = 0
-    while (i < sToks.length) {
-      var j = 0
-      while (j < tToks.length) {
-        val ga = sGrams(i)
-        val gb = tGrams(j)
-        var inter = 0
-        val (small, large) = if (ga.size <= gb.size) (ga, gb) else (gb, ga)
-        val it = small.iterator
-        while (it.hasNext) if (large.contains(it.next())) inter += 1
-        if (inter > 0) {
-          ws += inter.toDouble / (ga.size + gb.size - inter)
-          mS += 1L << i
-          mT += 1L << j
-          vs += Segment(i, i + 1, Vector(sToks(i)))
-          vt += Segment(j, j + 1, Vector(tToks(j)))
-        }
-        j += 1
-      }
-      i += 1
     }
     new UsimGraph(sToks.length, tToks.length, ws.result(), mS.result(), mT.result(),
       vs.result(), vt.result())

@@ -13,10 +13,7 @@ final case class JoinStats(
     sigNanos: Long,
     filterNanos: Long,
     verifyNanos: Long,
-) {
-  def totalNanos: Long = sigNanos + filterNanos + verifyNanos
-  def totalMillis: Double = totalNanos / 1e6
-}
+)
 
 /** Single-node reference implementation of the unified set joins
   * (Algorithms 3 and 6). It is the ground truth the Spark join is

@@ -1,6 +1,6 @@
 package repro.join
 
-import repro.core.{Knowledge, Segment, Segments}
+import repro.core.Segment
 
 /** GetMinPartitionSize (Algorithm 2, Lines 6-12): a lower bound on the
   * number of segments in any well-defined partition of S.
@@ -12,7 +12,7 @@ import repro.core.{Knowledge, Segment, Segments}
   */
 object MinPartition {
 
-  def greedyCover(k: Knowledge, segments: IndexedSeq[Segment], tokenCount: Int): Vector[Segment] = {
+  def greedyCover(segments: IndexedSeq[Segment], tokenCount: Int): Vector[Segment] = {
     var uncovered = (0 until tokenCount).toSet
     val picked = Vector.newBuilder[Segment]
     while (uncovered.nonEmpty) {
@@ -26,9 +26,9 @@ object MinPartition {
   }
 
   /** m = ⌈|A| / (ln n + 1)⌉ where A is the greedy cover. */
-  def size(k: Knowledge, segments: IndexedSeq[Segment], tokenCount: Int): Int = {
+  def size(segments: IndexedSeq[Segment], tokenCount: Int): Int = {
     if (tokenCount == 0) return 0
-    val cover = greedyCover(k, segments, tokenCount)
+    val cover = greedyCover(segments, tokenCount)
     val n = segments.iterator.map(_.length).max
     math.ceil(cover.size / (math.log(n) + 1)).toInt
   }

@@ -57,14 +57,27 @@ object Pebbles {
     * paper sorts pebbles "by the ascending order of frequencies" so
     * that signatures keep the rarest (most selective) pebbles.
     */
-  def frequencyOrder(perString: Iterator[Iterable[PebbleInstance]]): Map[String, Int] = {
-    val freq = scala.collection.mutable.HashMap[String, Int]()
-    for (ps <- perString; key <- ps.iterator.map(_.key).toSet[String])
-      freq.update(key, freq.getOrElse(key, 0) + 1)
+  def frequencyOrder(perString: Iterator[Iterable[PebbleInstance]]): Map[String, Int] =
+    keyOrder(perString.map(_.iterator.map(_.key)))
+
+  /** Global frequency order over per-string keys: each key counts once
+    * per string that contains it, then `rank` orders the counts.
+    */
+  def keyOrder(perString: Iterator[IterableOnce[String]]): Map[String, Int] = {
+    val freq = scala.collection.mutable.HashMap[String, Long]()
+    for (keys <- perString; key <- keys.iterator.toSet[String])
+      freq.update(key, freq.getOrElse(key, 0L) + 1)
+    rank(freq)
+  }
+
+  /** Ranks keys by their string counts, rarest first, ties broken by
+    * key — the single rule every global order (local, Spark, AdaptJoin)
+    * follows, so equal counts give equal orders.
+    */
+  def rank(freq: Iterable[(String, Long)]): Map[String, Int] =
     freq.toSeq.sortBy { case (k, f) => (f, k) }.iterator.zipWithIndex
       .map { case ((k, _), r) => k -> r }
       .toMap
-  }
 
   /** Sort instances by a global order (missing keys last, then key/group
     * for determinism). An alphabetical order (empty map) is still a

@@ -35,7 +35,7 @@ final class SignatureContext(
   val n: Int = pebbles.length
 
   /** m = GetMinPartitionSize(S). */
-  val m: Int = MinPartition.size(k, segments, tokens.length)
+  val m: Int = MinPartition.size(segments, tokens.length)
 
   // ------------------------------------------------------------------ AS
 
@@ -223,13 +223,6 @@ final class SignatureContext(
       case SigAlgo.AUDp        => auDp(theta, tau)
     }
     signature(len)
-  }
-
-  /** Signature prefix length for stats (Figure 5-style reporting). */
-  def selectLen(algo: SigAlgo, theta: Double, tau: Int): Int = algo match {
-    case SigAlgo.UFilter     => uFilter(theta)
-    case SigAlgo.AUHeuristic => auHeuristic(theta, tau)
-    case SigAlgo.AUDp        => auDp(theta, tau)
   }
 }
 

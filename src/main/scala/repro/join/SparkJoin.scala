@@ -16,8 +16,9 @@ import repro.core._
   */
 object SparkJoin {
 
-  /** Global frequency order computed with a Spark aggregation: the
-    * number of strings containing each pebble key, rarest first.
+  /** Global frequency order: the number of strings containing each
+    * pebble key is counted with a Spark aggregation, then ranked by
+    * `Pebbles.rank` exactly as `LocalJoin.buildOrder` ranks it.
     */
   def computeOrder(
       spark: SparkSession,
@@ -33,15 +34,12 @@ object SparkJoin {
         .generate(bk.value, Segments.wellDefined(bk.value, toks), measures, q)
         .iterator.map(_.key).toSet.toSeq
     }
-    val counted = strings
+    Pebbles.rank(strings
       .select(explode(keysUdf(col("str"))).as("key"))
       .groupBy("key")
       .agg(count(lit(1)).as("freq"))
       .collect()
-      .map(r => (r.getString(0), r.getLong(1)))
-    counted.sortBy { case (key, f) => (f, key) }.iterator.zipWithIndex
-      .map { case ((key, _), r) => key -> r }
-      .toMap
+      .map(r => (r.getString(0), r.getLong(1))))
   }
 
   /** (`id`, `key`) exploded signatures of a collection. */

@@ -73,6 +73,26 @@ class UsimGraphSpec extends AnyFunSuite {
     // only (abc, abd) share a gram ("ab")
     assert(g.size == 1)
     assert(g.sSegs(0).tokens == Vector("abc") && g.tSegs(0).tokens == Vector("abd"))
+
+    // MED-lite knowledge: both strings hold multi-token rule sides, yet a
+    // J-only graph has exactly the single-token pairs with gram overlap,
+    // in token order.
+    val med = repro.data.TextGen.context(repro.data.TextGen.MedLite).knowledge
+    val rule = med.rules.find(r => r.lhs.length > 1 && r.rhs.length > 1).get
+    val sToks = rule.lhs ++ Vector("alpha")
+    val tToks = Vector("alpine") ++ rule.rhs
+    assert(Segments.wellDefined(med, sToks).exists(_.length > 1))
+    assert(Segments.wellDefined(med, tToks).exists(_.length > 1))
+    assert(UsimGraph.build(med, sToks, tToks, MeasureSet.TJS).sSegs.exists(_.length > 1))
+    val gj = UsimGraph.build(med, sToks, tToks, MeasureSet.J)
+    val want = for {
+      i <- sToks.indices; j <- tToks.indices
+      w = Measures.jaccard(sToks(i), tToks(j)) if w > 0.0
+    } yield (i, j, w)
+    assert(gj.sSegs.forall(_.length == 1) && gj.tSegs.forall(_.length == 1))
+    assert(gj.sSegs.indices.map(v => (gj.sSegs(v).start, gj.tSegs(v).start, gj.weights(v))) == want)
+    assert(gj.sSegs.indices.forall(v =>
+      gj.maskS(v) == 1L << gj.sSegs(v).start && gj.maskT(v) == 1L << gj.tSegs(v).start))
   }
 
   test("measure restriction drops synonym vertices") {
@@ -89,6 +109,7 @@ class UsimGraphSpec extends AnyFunSuite {
 
   test("strings over 64 tokens are rejected") {
     val long = Vector.fill(65)("tok").mkString(" ")
-    intercept[IllegalArgumentException](Usim.graph(Knowledge.empty, long, "tok", MeasureSet.J))
+    for (m <- Seq(MeasureSet.J, MeasureSet.TJS))
+      intercept[IllegalArgumentException](Usim.graph(Knowledge.empty, long, "tok", m))
   }
 }

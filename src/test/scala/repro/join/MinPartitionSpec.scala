@@ -8,7 +8,7 @@ class MinPartitionSpec extends AnyFunSuite {
 
   private def mp(s: String): Int = {
     val toks = Tokenizer.tokens(s)
-    MinPartition.size(k, Segments.wellDefined(k, toks), toks.length)
+    MinPartition.size(Segments.wellDefined(k, toks), toks.length)
   }
 
   test("Example 6: m = ceil(3/(ln 1 + 1)) = 3 for 'espresso cafe Helsinki'") {
@@ -42,14 +42,14 @@ class MinPartitionSpec extends AnyFunSuite {
 
   test("greedyCover covers every token") {
     val toks = Tokenizer.tokens("coffee shop latte Helsingki")
-    val cover = MinPartition.greedyCover(k, Segments.wellDefined(k, toks), toks.length)
+    val cover = MinPartition.greedyCover(Segments.wellDefined(k, toks), toks.length)
     val covered = cover.flatMap(s => s.start until s.end).toSet
     assert(covered == (0 until toks.length).toSet)
   }
 
   test("greedy prefers the largest uncovered gain") {
     val toks = Tokenizer.tokens("coffee shop latte")
-    val cover = MinPartition.greedyCover(k, Segments.wellDefined(k, toks), toks.length)
+    val cover = MinPartition.greedyCover(Segments.wellDefined(k, toks), toks.length)
     assert(cover.head.tokens == Vector("coffee", "shop"))
   }
 

@@ -80,6 +80,29 @@ class SparkJoinSpec extends SparkSpec {
     )
   }
 
+  test("Oracle catches wrong results") {
+    val cfg = LocalJoin.Config(0.8, 2, SigAlgo.AUHeuristic)
+    val strings = ds.strings.take(80)
+    val df = toDF(strings)
+    val order = LocalJoin.buildOrder(k, strings, cfg.measures, cfg.q)
+    val sig = SparkJoin.signatureKeys(spark, df, k, order, cfg)
+    val wrong = SparkJoin
+      .candidates(spark, df, df, k, order, cfg, selfJoin = true)
+      .select(col("sid"), col("tid"), (col("overlap").cast("long") + 1).as("overlap")) // off by one
+    assert(wrong.count() > 0)
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        wrong,
+        s"""SELECT l.id AS sid, r.id AS tid, count(*) AS overlap
+           |FROM sig l JOIN sig r ON l.key = r.key
+           |WHERE CAST(l.id AS BIGINT) < CAST(r.id AS BIGINT)
+           |GROUP BY l.id, r.id
+           |HAVING count(*) >= ${cfg.tau}""".stripMargin,
+        "sig" -> sig,
+      )
+    }
+  }
+
   test("verification stage drops below-θ candidates") {
     val cfg = LocalJoin.Config(0.9, 1, SigAlgo.UFilter)
     val order = LocalJoin.buildOrder(k, ds.strings, cfg.measures, cfg.q)
