@@ -15,7 +15,7 @@ import repro.tune._
 object TauAccuracyExp {
 
   final case class Row(dataset: String, theta: Double, accuracy: Double,
-      timeFraction: Double, optimalTau: Int)
+      timeFraction: Double, optimalTau: Int, suggestMs: Double)
 
   def run(
       kind: TextGen.Kind,
@@ -51,13 +51,13 @@ object TauAccuracyExp {
       val joinRun = JoinTimeExp.run(ctx, strings, order, theta, best, SigAlgo.AUHeuristic)
       val avgSug = sugNanos.toDouble / repeats
       Row(kind.name, theta, hits.toDouble / repeats,
-        avgSug / (avgSug + joinRun.wallNanos), best)
+        avgSug / (avgSug + joinRun.wallNanos), best, avgSug / 1e6)
     }
   }
 
   def format(rows: Seq[Row]): String =
     Fmt.table(
-      Seq("Dataset", "θ", "Accuracy", "Time fraction", "Optimal τ"),
+      Seq("Dataset", "θ", "Accuracy", "Time fraction", "Suggest (ms)", "Optimal τ"),
       rows.map(r => Seq(r.dataset, r.theta.toString, f"${r.accuracy * 100}%.0f%%",
-        f"${r.timeFraction * 100}%.2f%%", r.optimalTau.toString)))
+        f"${r.timeFraction * 100}%.2f%%", f"${r.suggestMs}%.1f", r.optimalTau.toString)))
 }

@@ -69,10 +69,13 @@ object LocalJoin {
     val invS = invert(sigS)
     val invT = if (selfJoin) invS else invert(sigT)
     var processed = 0L
-    val counts = new scala.collection.mutable.LongMap[Int](1 << 16)
+    for ((key, ls) <- invS; lt <- invT.get(key))
+      processed += (if (selfJoin) ls.length.toLong * (ls.length - 1) / 2
+                    else ls.length.toLong * lt.length)
+    // T_τ bounds the number of distinct pairs; large joins start at 2^16.
+    val counts = new scala.collection.mutable.LongMap[Int](math.min(processed, 1L << 16).toInt)
     for ((key, ls) <- invS; lt <- invT.get(key)) {
       if (selfJoin) {
-        processed += ls.length.toLong * (ls.length - 1) / 2
         var i = 0
         while (i < ls.length) {
           val hi = ls(i).toLong << 32
@@ -85,7 +88,6 @@ object LocalJoin {
           i += 1
         }
       } else {
-        processed += ls.length.toLong * lt.length
         var i = 0
         while (i < ls.length) {
           val hi = ls(i).toLong << 32

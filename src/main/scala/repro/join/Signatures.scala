@@ -37,6 +37,36 @@ final class SignatureContext(
   /** m = GetMinPartitionSize(S). */
   val m: Int = MinPartition.size(segments, tokens.length)
 
+  // -------------------------------------------------------------- groups
+
+  /** Group of each pebble of B (0-based): one group per (segment,
+    * measure), numbered in order of first appearance.
+    */
+  private val groupOf: Array[Int] = {
+    val ids = scala.collection.mutable.HashMap[(Int, Char), Int]()
+    pebbles.iterator.map(p => ids.getOrElseUpdate((p.segIdx, p.measure), ids.size)).toArray
+  }
+
+  private val nGroups: Int = if (n == 0) 0 else groupOf.max + 1
+
+  /** Weights of each group's pebbles, in position order. */
+  private lazy val groupW: Array[Array[Double]] = {
+    val b = Array.fill(nGroups)(Array.newBuilder[Double])
+    for (p <- 0 until n) b(groupOf(p)) += pebbles(p).weight
+    b.map(_.result())
+  }
+
+  /** The groups of each segment. */
+  private lazy val segGroups: Array[Array[Int]] = {
+    val b = Array.fill(segments.length)(Array.newBuilder[Int])
+    val seen = new Array[Boolean](nGroups)
+    for (p <- 0 until n if !seen(groupOf(p))) {
+      seen(groupOf(p)) = true
+      b(pebbles(p).segIdx) += groupOf(p)
+    }
+    b.map(_.result())
+  }
+
   // ------------------------------------------------------------------ AS
 
   /** asArr(i) = AS(i, S) = Σ_P max_f W(B_{P,f}[i, n]), 1-based; index
@@ -44,16 +74,16 @@ final class SignatureContext(
     */
   private val asArr: Array[Double] = {
     val arr = new Array[Double](n + 2)
-    val groupSum = scala.collection.mutable.HashMap[(Int, Char), Double]()
-    val segMax = scala.collection.mutable.HashMap[Int, Double]()
+    val groupSum = new Array[Double](nGroups)
+    val segMax = new Array[Double](segments.length)
     var acc = 0.0
     var i = n
     while (i >= 1) {
       val p = pebbles(i - 1)
-      val g = (p.segIdx, p.measure)
-      val s = groupSum.getOrElse(g, 0.0) + p.weight
+      val g = groupOf(i - 1)
+      val s = groupSum(g) + p.weight
       groupSum(g) = s
-      val prevMax = segMax.getOrElse(p.segIdx, 0.0)
+      val prevMax = segMax(p.segIdx)
       if (s > prevMax) { acc += s - prevMax; segMax(p.segIdx) = s }
       arr(i) = acc
       i -= 1
@@ -63,43 +93,6 @@ final class SignatureContext(
 
   /** AS(i, S) for i ∈ [1, n+1]. */
   def as(i: Int): Double = asArr(i)
-
-  // ----------------------------------------------- per-group DP helpers
-
-  /** positions (1-based, ascending) and weights per (segment, measure). */
-  private val groups: Map[(Int, Char), (Array[Int], Array[Double])] =
-    pebbles.zipWithIndex
-      .groupBy { case (p, _) => (p.segIdx, p.measure) }
-      .view
-      .mapValues { xs =>
-        (xs.map(_._2 + 1).toArray, xs.map(_._1.weight).toArray)
-      }
-      .toMap
-
-  private val measuresOfSeg: Map[Int, Seq[Char]] =
-    groups.keys.toSeq.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-
-  /** W(B_{P,f}[i, n]): group weight mass at positions ≥ i. */
-  private def groupSuffix(g: (Int, Char), i: Int): Double = {
-    val (pos, w) = groups(g)
-    var s = 0.0
-    var idx = pos.length - 1
-    while (idx >= 0 && pos(idx) >= i) { s += w(idx); idx -= 1 }
-    s
-  }
-
-  /** TW_c(B_{P,f}[1, i−1]): top-c weights of the group before position i. */
-  private def groupPrefixTop(g: (Int, Char), i: Int, c: Int): Double = {
-    if (c <= 0) return 0.0
-    val (pos, w) = groups(g)
-    val inPrefix = (0 until pos.length).iterator.takeWhile(pos(_) < i).map(w).toArray
-    java.util.Arrays.sort(inPrefix)
-    var s = 0.0
-    var idx = inPrefix.length - 1
-    val stop = math.max(0, inPrefix.length - c)
-    while (idx >= stop) { s += inPrefix(idx); idx -= 1 }
-    s
-  }
 
   // ----------------------------------------------------------- Algorithm 2
 
@@ -148,65 +141,116 @@ final class SignatureContext(
   /** AU-Filter DP: largest i whose DP bound W_i[t, τ−1] certifies
     * AS(i) + W_i[t, τ−1] ≥ mθ; early-terminates on any reaching cell
     * (W_i is monotone in both coordinates).
+    *
+    * From boundary i+1 to i one pebble moves from the prefix B[1, i−1]
+    * to the suffix B[i, n], so only its segment's row V_i[p, ·] changes
+    * (Eqs 13–14). Each row is refreshed from per-group tables of
+    * R(P,f,k,c) = W(suffix) + TW_c(prefix) for a group with k pebbles in
+    * the prefix; the W_i recurrence (Eq 12) is then rerun over the rows.
+    * A boundary costs O(|F|·τ) for the row plus O(t·τ²) for Eq (12),
+    * where |F| ≤ 3 is the number of measures.
     */
   def auDp(theta: Double, tau: Int): Int = {
     require(tau >= 1, s"tau must be >= 1, got $tau")
     if (tau == 1) return uFilter(theta)
     val bound = m * theta - Eps
+    val cols = tau // d, c ∈ [0, τ−1]
+    val t = segments.length
+
+    // r(base(g) + k·cols + c): suffix mass summed from the end, plus the
+    // top-c prefix weights summed largest first — the order a direct
+    // per-boundary evaluation of Eqs (13–14) adds them in, so the result
+    // matches it bit for bit.
+    val base = new Array[Int](nGroups + 1)
+    for (g <- 0 until nGroups) base(g + 1) = base(g) + (groupW(g).length + 1) * cols
+    val r = new Array[Double](base(nGroups))
+    val top = new Array[Double](cols - 1) // prefix's largest weights, descending
+    for (g <- 0 until nGroups) {
+      val w = groupW(g)
+      val suf = new Array[Double](w.length + 1)
+      var k = w.length
+      while (k > 0) { k -= 1; suf(k) = suf(k + 1) + w(k) }
+      var size = 0
+      k = 0
+      while (k <= w.length) {
+        val row = base(g) + k * cols
+        var tw = 0.0
+        var c = 0
+        while (c < cols) {
+          if (c > 0 && c <= size) tw += top(c - 1)
+          r(row + c) = suf(k) + tw
+          c += 1
+        }
+        if (k < w.length && (size < top.length || w(k) > top(size - 1))) {
+          if (size < top.length) size += 1
+          var j = size - 1
+          while (j > 0 && top(j - 1) < w(k)) { top(j) = top(j - 1); j -= 1 }
+          top(j) = w(k)
+        }
+        k += 1
+      }
+    }
+
+    val inPrefix = groupW.map(_.length) // every pebble before boundary n+1
+    val v = new Array[Double](t * cols) // V_i[p, c] at v(p·cols + c)
+    def refresh(seg: Int): Unit = {
+      val off = seg * cols
+      val gs = segGroups(seg)
+      var c = 0
+      while (c < cols) {
+        var best = 0.0
+        var j = 0
+        while (j < gs.length) {
+          val x = r(base(gs(j)) + inPrefix(gs(j)) * cols + c)
+          if (x > best) best = x
+          j += 1
+        }
+        v(off + c) = best
+        c += 1
+      }
+      val r0 = v(off)
+      c = 0
+      while (c < cols) { v(off + c) -= r0; c += 1 }
+    }
+    for (seg <- 0 until t) refresh(seg)
+
+    val prev = new Array[Double](cols)
+    val cur = new Array[Double](cols)
+    // W_i[p, d] = max_c W_i[p−1, d−c] + V_i[p, c], Eq (12); Lines 13-14
+    def reaches(asI: Double): Boolean = {
+      java.util.Arrays.fill(prev, 0.0)
+      var p = 0
+      while (p < t) {
+        val off = p * cols
+        cur(0) = 0.0
+        var d = 1
+        while (d < cols) {
+          var best = 0.0
+          var c = 0
+          while (c <= d) {
+            val x = prev(d - c) + v(off + c)
+            if (x > best) best = x
+            c += 1
+          }
+          cur(d) = best
+          if (asI + best >= bound) return true
+          d += 1
+        }
+        System.arraycopy(cur, 0, prev, 0, cols)
+        p += 1
+      }
+      false
+    }
+
     var i = n
     while (i >= 1) {
+      inPrefix(groupOf(i - 1)) -= 1
       if (asArr(i) >= bound) return i // d = 0 cell already suffices
-      if (dpReaches(i, tau, bound)) return i
+      refresh(pebbles(i - 1).segIdx)
+      if (reaches(asArr(i))) return i
       i -= 1
     }
     0
-  }
-
-  /** Populates W_i/V_i per Eqs (12-14); true iff some cell reaches. */
-  private def dpReaches(i: Int, tau: Int, bound: Double): Boolean = {
-    val t = segments.length
-    val cols = tau // d, c ∈ [0, τ−1]
-    val prev = new Array[Double](cols)
-    val cur = new Array[Double](cols)
-    val v = new Array[Double](cols)
-    var p = 1
-    while (p <= t) {
-      val segId = p - 1
-      // V_i[p, c] = R(P,i,c) − R(P,i,0), Eq (13–14)
-      val ms = measuresOfSeg.getOrElse(segId, Nil)
-      var c = 0
-      while (c < cols) {
-        var r = 0.0
-        for (f <- ms) {
-          val g = (segId, f)
-          val x = groupSuffix(g, i) + groupPrefixTop(g, i, c)
-          if (x > r) r = x
-        }
-        v(c) = r
-        c += 1
-      }
-      val r0 = v(0)
-      c = 0
-      while (c < cols) { v(c) -= r0; c += 1 }
-      // W_i[p, d] = max_c W_i[p−1, d−c] + V_i[p, c], Eq (12)
-      cur(0) = 0.0
-      var d = 1
-      while (d < cols) {
-        var best = 0.0
-        c = 0
-        while (c <= d) {
-          val x = prev(d - c) + v(c)
-          if (x > best) best = x
-          c += 1
-        }
-        cur(d) = best
-        if (asArr(i) + best >= bound) return true // Lines 13-14
-        d += 1
-      }
-      System.arraycopy(cur, 0, prev, 0, cols)
-      p += 1
-    }
-    false
   }
 
   // ------------------------------------------------------------ signature

@@ -61,7 +61,9 @@ object SparkJoin {
   }
 
   /** Candidate pairs (`sid`, `tid`, `overlap`) sharing ≥ τ signature
-    * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3).
+    * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3). A
+    * signature is a set of keys, so each shared key joins a pair once and
+    * `count` is the number of shared keys.
     */
   def candidates(
       spark: SparkSession,

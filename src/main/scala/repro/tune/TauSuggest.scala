@@ -52,13 +52,15 @@ object TauSuggest {
     require(universe.nonEmpty, "τ universe must be non-empty")
     val start = System.nanoTime()
     val rng = new Random(seed)
-    // Signature contexts depend on the string only — cache across
-    // iterations and τ's; selection per (θ, τ) is then cheap.
-    val ctxCache = scala.collection.mutable.HashMap[Int, SignatureContext]()
-    def ctx(i: Int): SignatureContext =
-      ctxCache.getOrElseUpdate(
-        i,
-        new SignatureContext(Tokenizer.tokens(strings(i)), k, cfg.measures, cfg.q, order))
+    // A selected signature depends only on (string, τ): select a string's
+    // signatures for the whole universe the first time it is sampled and
+    // keep those, not its context.
+    val sigCache = scala.collection.mutable.HashMap[Int, Array[Set[String]]]()
+    def sigsOf(i: Int): Array[Set[String]] =
+      sigCache.getOrElseUpdate(i, {
+        val ctx = new SignatureContext(Tokenizer.tokens(strings(i)), k, cfg.measures, cfg.q, order)
+        universe.iterator.map(tau => ctx.select(cfg.algo, cfg.theta, tau)).toArray
+      })
 
     val state = universe.map(t => t -> new TauState).toMap
     var n = 0
@@ -66,11 +68,10 @@ object TauSuggest {
     var stop = false
     while (!stop && n < maxIter) {
       n += 1
-      val ids = strings.indices.filter(_ => rng.nextDouble() < ps)
+      val sampled = strings.indices.filter(_ => rng.nextDouble() < ps).map(sigsOf)
       var sumT = 0.0
-      for (tau <- universe) {
-        val sigs: IndexedSeq[Set[String]] =
-          ids.map(i => ctx(i).select(cfg.algo, cfg.theta, tau))
+      for ((tau, u) <- universe.zipWithIndex) {
+        val sigs: IndexedSeq[Set[String]] = sampled.map(_(u))
         val (processed, cands) = LocalJoin.filterStage(sigs, sigs, tau, selfJoin = true)
         val st = state(tau)
         st.t.add(BernoulliEstimator.scale(processed.toDouble, ps, ps))

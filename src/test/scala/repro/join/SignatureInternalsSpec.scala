@@ -77,6 +77,63 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  /** Algorithm 5 transcribed from Eqs (12–14): every boundary i rebuilds
+    * W_i/V_i from scratch, taking each group's suffix mass and its sorted
+    * top-c prefix weights directly.
+    */
+  private def referenceAuDp(ctx: SignatureContext, theta: Double, tau: Int): Int = {
+    val bound = ctx.m * theta - 1e-9
+    val groups: Map[(Int, Char), (Array[Int], Array[Double])] =
+      ctx.pebbles.zipWithIndex
+        .groupBy { case (p, _) => (p.segIdx, p.measure) }
+        .view.mapValues(xs => (xs.map(_._2 + 1).toArray, xs.map(_._1.weight).toArray)).toMap
+    def suffix(g: (Int, Char), i: Int): Double = {
+      val (pos, w) = groups(g)
+      var s = 0.0
+      var idx = pos.length - 1
+      while (idx >= 0 && pos(idx) >= i) { s += w(idx); idx -= 1 }
+      s
+    }
+    def prefixTop(g: (Int, Char), i: Int, c: Int): Double = {
+      val (pos, w) = groups(g)
+      val inPrefix = pos.indices.takeWhile(pos(_) < i).map(w).sorted.reverse
+      inPrefix.take(c).foldLeft(0.0)(_ + _)
+    }
+    def reaches(i: Int): Boolean = {
+      val prev = new Array[Double](tau)
+      val cur = new Array[Double](tau)
+      for (segId <- ctx.segments.indices) {
+        val ms = groups.keys.filter(_._1 == segId).toSeq
+        val v = Array.tabulate(tau)(c => ms.map(g => suffix(g, i) + prefixTop(g, i, c)).foldLeft(0.0)(math.max))
+        val r0 = v(0)
+        for (c <- 0 until tau) v(c) -= r0
+        for (d <- 1 until tau) {
+          cur(d) = (0 to d).map(c => prev(d - c) + v(c)).foldLeft(0.0)(math.max)
+          if (ctx.as(i) + cur(d) >= bound) return true
+        }
+        System.arraycopy(cur, 0, prev, 0, tau)
+      }
+      false
+    }
+    (ctx.n to 1 by -1).find(i => ctx.as(i) >= bound || reaches(i)).getOrElse(0)
+  }
+
+  test("property: AU-DP returns exactly the Eqs (12-14) boundary") {
+    for (kind <- Seq(TextGen.MedLite, TextGen.WikiLite); seed <- Seq(3L, 4L)) {
+      val ctx = TextGen.context(kind, seed)
+      val strings = TextGen.joinDataset(ctx, n = 60, seed = seed).strings
+      for (ms <- Seq(MeasureSet.TJS, MeasureSet.TS)) {
+        val order = LocalJoin.buildOrder(ctx.knowledge, strings, ms, 2)
+        for (s <- strings) {
+          val c = new SignatureContext(Tokenizer.tokens(s), ctx.knowledge, ms, 2, order)
+          for (theta <- Seq(0.6, 0.8, 0.9, 1.0); tau <- Seq(2, 3, 4, 6, 8))
+            assert(c.auDp(theta, tau) == referenceAuDp(c, theta, tau),
+              s"${kind.name} seed $seed θ=$theta τ=$tau: $s")
+        }
+      }
+    }
+  }
+
   test("frequency order demotes common pebbles out of tight signatures") {
     // two strings sharing a frequent filler token; with a frequency order
     // the filler's gram pebbles sort late and are dropped first.

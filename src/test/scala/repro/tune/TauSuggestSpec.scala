@@ -69,6 +69,31 @@ class TauSuggestSpec extends AnyFunSuite {
       s"suggested ${r.tau} (${actual(r.tau)}) vs best $best (${actual(best)})")
   }
 
+  test("cached signatures leave the Eq (17)/(20) estimates unchanged") {
+    val universe = Seq(1, 2, 4)
+    val (ps, iters, seed) = (0.05, 30, 5L)
+    val dpCfg = cfg.copy(algo = SigAlgo.AUDp)
+    val r = TauSuggest.suggest(k, ds.strings, order, dpCfg, universe, ps, CostModel.Default,
+      nStar = iters, maxIter = iters, seed = seed)
+    assert(r.iterations == iters)
+    // replay the same Bernoulli draws, selecting from a fresh context each time
+    val rng = new scala.util.Random(seed)
+    val t = universe.map(_ -> new OnlineStats).toMap
+    val v = universe.map(_ -> new OnlineStats).toMap
+    for (_ <- 1 to iters) {
+      val ids = ds.strings.indices.filter(_ => rng.nextDouble() < ps)
+      for (tau <- universe) {
+        val sigs = ids.map(i => new SignatureContext(Tokenizer.tokens(ds.strings(i)), k,
+          dpCfg.measures, dpCfg.q, order).select(dpCfg.algo, dpCfg.theta, tau))
+        val (processed, cands) = LocalJoin.filterStage(sigs, sigs, tau, selfJoin = true)
+        t(tau).add(BernoulliEstimator.scale(processed.toDouble, ps, ps))
+        v(tau).add(BernoulliEstimator.scale(cands.size.toDouble, ps, ps))
+      }
+    }
+    assert(r.tHat == universe.map(tau => tau -> t(tau).mean).toMap)
+    assert(r.vHat == universe.map(tau => tau -> v(tau).mean).toMap)
+  }
+
   test("empty universe is rejected") {
     intercept[IllegalArgumentException] {
       TauSuggest.suggest(k, ds.strings, order, cfg, Seq.empty, 0.1, CostModel.Default)
