@@ -74,7 +74,7 @@ object AdaptJoin {
     val ell = chooseEll(strings, theta, order, q)
     candidates(strings, theta, ell, order, q).flatMap { case (i, j) =>
       val x = sim(strings(i), strings(j), q)
-      if (x >= theta - 1e-12) Some((i, j, x)) else None
+      if (x >= LocalJoin.minSim(theta)) Some((i, j, x)) else None
     }
   }
 }

@@ -75,7 +75,7 @@ object PKduck {
     val sigs = strings.map(signature(k, _))
     LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
-      if (x >= theta - 1e-12) Some((i, j, x)) else None
+      if (x >= LocalJoin.minSim(theta)) Some((i, j, x)) else None
     }
   }
 }

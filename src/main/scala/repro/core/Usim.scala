@@ -65,10 +65,12 @@ object Usim {
   /** Algorithm 1: SquareImp seed + GetSim claw-improvement loop over
     * talon sets of size 1 and 2, capped at `tParam` iterations.
     *
-    * Moves are evaluated numerically: vertices of an independent set
-    * have pairwise-disjoint masks, so removing N(v, A) is an XOR on the
-    * coverage masks and a subtraction on the weight — no allocation in
-    * the O(n²) pair-talon scan.
+    * Moves are evaluated numerically from the N(v, A) aggregates that
+    * SquareImp uses too (`Neighbourhoods`): vertices of an independent
+    * set have pairwise-disjoint masks, so removing N(v, A) is an XOR on
+    * the coverage masks and a subtraction on the weight — no allocation
+    * in the O(n²) pair-talon scan. Unlike SquareImp, each iteration
+    * accepts the best improving claw, not the first.
     */
   def approxOnGraph(g: UsimGraph, tParam: Int = DefaultT): (Double, Set[Int]) = {
     val n = g.size
@@ -82,55 +84,28 @@ object Usim {
     for (i <- a) { sumW += g.weights(i); mS |= g.maskS(i); mT |= g.maskT(i) }
     var cur = g.getSim(sumW, a.size, mS, mT)
 
-    val pairLimit = SquareImp.PairTalonLimit
-    // per-candidate conflict aggregates against the current A
-    val confW = new Array[Double](n)
-    val confCnt = new Array[Int](n)
-    val confMS = new Array[Long](n)
-    val confMT = new Array[Long](n)
-    val confList = new Array[Array[Int]](n)
-
     var iter = 0
     var progress = true
     while (progress && iter < tParam) {
       progress = false
       iter += 1
-      val aArr = a.toArray
-      var v = 0
-      while (v < n) {
-        if (!a.contains(v)) {
-          var w = 0.0; var c = 0; var ms = 0L; var mt = 0L
-          val lst = Array.newBuilder[Int]
-          var j = 0
-          while (j < aArr.length) {
-            val u = aArr(j)
-            if ((g.maskS(u) & g.maskS(v)) != 0L || (g.maskT(u) & g.maskT(v)) != 0L) {
-              w += g.weights(u); c += 1; ms |= g.maskS(u); mt |= g.maskT(u)
-              lst += u
-            }
-            j += 1
-          }
-          confW(v) = w; confCnt(v) = c; confMS(v) = ms; confMT(v) = mt
-          confList(v) = lst.result()
-        }
-        v += 1
-      }
+      val nb = new Neighbourhoods(g, a)
 
       var bestSim = cur
       var bestAdd1 = -1
       var bestAdd2 = -1
       // talon sets of size 1
-      v = 0
+      var v = 0
       while (v < n) {
         if (!a.contains(v)) {
-          val sim = g.getSim(sumW - confW(v) + g.weights(v), a.size - confCnt(v) + 1,
-            (mS ^ confMS(v)) | g.maskS(v), (mT ^ confMT(v)) | g.maskT(v))
+          val sim = g.getSim(sumW - nb.w(v) + g.weights(v), a.size - nb.members(v).length + 1,
+            (mS ^ nb.ms(v)) | g.maskS(v), (mT ^ nb.mt(v)) | g.maskT(v))
           if (sim > bestSim) { bestSim = sim; bestAdd1 = v; bestAdd2 = -1 }
         }
         v += 1
       }
       // talon sets of size 2
-      if (n <= pairLimit) {
+      if (n <= SquareImp.PairTalonLimit) {
         var v1 = 0
         while (v1 < n) {
           if (!a.contains(v1)) {
@@ -140,20 +115,16 @@ object Usim {
                 // shared removed vertices: subtract the double count
                 var sharedW = 0.0
                 var sharedC = 0
-                val l1 = confList(v1)
+                val l1 = nb.members(v1)
                 var i1 = 0
                 while (i1 < l1.length) {
-                  val u = l1(i1)
-                  if ((g.maskS(u) & confMS(v2)) != 0L || (g.maskT(u) & confMT(v2)) != 0L) {
-                    // u's disjoint mask can only intersect conf(v2)'s if u ∈ conf(v2)
-                    sharedW += g.weights(u); sharedC += 1
-                  }
+                  if (nb.contains(v2, l1(i1))) { sharedW += g.weights(l1(i1)); sharedC += 1 }
                   i1 += 1
                 }
-                val w = sumW - confW(v1) - confW(v2) + sharedW + g.weights(v1) + g.weights(v2)
-                val c = a.size - confCnt(v1) - confCnt(v2) + sharedC + 2
-                val ms = (mS ^ (confMS(v1) | confMS(v2))) | g.maskS(v1) | g.maskS(v2)
-                val mt = (mT ^ (confMT(v1) | confMT(v2))) | g.maskT(v1) | g.maskT(v2)
+                val w = sumW - nb.w(v1) - nb.w(v2) + sharedW + g.weights(v1) + g.weights(v2)
+                val c = a.size - nb.members(v1).length - nb.members(v2).length + sharedC + 2
+                val ms = (mS ^ (nb.ms(v1) | nb.ms(v2))) | g.maskS(v1) | g.maskS(v2)
+                val mt = (mT ^ (nb.mt(v1) | nb.mt(v2))) | g.maskT(v1) | g.maskT(v2)
                 val sim = g.getSim(w, c, ms, mt)
                 if (sim > bestSim) { bestSim = sim; bestAdd1 = v1; bestAdd2 = v2 }
               }
@@ -169,7 +140,7 @@ object Usim {
         // directly, which keeps the polynomial guarantee while not
         // rejecting small-but-real gains on long strings.
         val adds = if (bestAdd2 >= 0) Seq(bestAdd1, bestAdd2) else Seq(bestAdd1)
-        for (add <- adds; u <- confList(add)) if (a.remove(u)) {
+        for (add <- adds; u <- nb.members(add)) if (a.remove(u)) {
           sumW -= g.weights(u); mS ^= g.maskS(u); mT ^= g.maskT(u)
         }
         for (add <- adds) {
@@ -203,7 +174,7 @@ object Usim {
     require(n <= ExactVertexCap, s"exact USIM limited to $ExactVertexCap vertices, got $n")
     if (n == 0) return g.getSim(Nil)
 
-    val order = g.weights.indices.sortBy(i => (-g.weights(i), i)).toArray
+    val order = g.byWeight
     val w = order.map(g.weights)
     val ms = order.map(g.maskS)
     val mt = order.map(g.maskT)

@@ -25,11 +25,8 @@ final class UsimGraph(
   def conflict(i: Int, j: Int): Boolean =
     (maskS(i) & maskS(j)) != 0L || (maskT(i) & maskT(j)) != 0L
 
-  /** Vertices of `a` conflicting with (or equal to) vertex `v` — the
-    * paper's N(v, A).
-    */
-  def neighboursIn(v: Int, a: Iterable[Int]): List[Int] =
-    a.iterator.filter(u => u == v || conflict(u, v)).toList
+  /** Vertices by descending weight, ties broken by index. */
+  lazy val byWeight: Array[Int] = weights.indices.sortBy(i => (-weights(i), i)).toArray
 
   def isIndependent(sel: Seq[Int]): Boolean = {
     var ms = 0L; var mt = 0L

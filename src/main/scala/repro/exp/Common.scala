@@ -30,9 +30,6 @@ object Fmt {
       r.zip(widths).map { case (cell, w) => cell.padTo(w, ' ') }.mkString("  ")
     (line(header) +: line(header.map(h => "-" * h.length)) +: rows.map(line)).mkString("\n")
   }
-
-  def ms(nanos: Long): String = f"${nanos / 1e6}%.1f"
-  def sec(nanos: Long): String = f"${nanos / 1e9}%.2f"
 }
 
 /** Shared generation contexts (built once per JVM — deterministic). */

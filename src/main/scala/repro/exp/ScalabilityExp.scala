@@ -34,7 +34,7 @@ object ScalabilityExp {
       val order = LocalJoin.buildOrder(ctx.knowledge, strings, MeasureSet.TJS, 2)
 
       val t0 = System.nanoTime()
-      val sug = JoinTimeExp.suggestTau(ctx, strings, order, theta)
+      val sug = JoinTimeExp.suggestTau(ctx, strings, order, theta, SigAlgo.AUDp)
       val tSuggest = System.nanoTime() - t0
 
       val cfg = LocalJoin.Config(theta, sug.tau, SigAlgo.AUDp)

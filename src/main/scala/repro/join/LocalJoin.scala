@@ -2,17 +2,14 @@ package repro.join
 
 import repro.core._
 
-/** Counters and timings of one join run. `processedPairs` is the
-  * paper's T_τ (Eq 16) and `candidates` its V_τ.
+/** Counters of one join run. `processedPairs` is the paper's T_τ
+  * (Eq 16) and `candidates` its V_τ.
   */
 final case class JoinStats(
     processedPairs: Long,
     candidates: Long,
     results: Long,
     avgSignatureLen: Double,
-    sigNanos: Long,
-    filterNanos: Long,
-    verifyNanos: Long,
 )
 
 /** Single-node reference implementation of the unified set joins
@@ -30,6 +27,11 @@ object LocalJoin {
       q: Int = Measures.DefaultQ,
       tParam: Int = Usim.DefaultT,
   )
+
+  /** The lowest similarity a join reports at threshold θ: θ less a
+    * slack for floating-point rounding in USIM.
+    */
+  def minSim(theta: Double): Double = theta - 1e-12
 
   /** Per-collection global frequency order, shared by both sides as the
     * paper requires a single global order.
@@ -75,30 +77,16 @@ object LocalJoin {
     // T_τ bounds the number of distinct pairs; large joins start at 2^16.
     val counts = new scala.collection.mutable.LongMap[Int](math.min(processed, 1L << 16).toInt)
     for ((key, ls) <- invS; lt <- invT.get(key)) {
-      if (selfJoin) {
-        var i = 0
-        while (i < ls.length) {
-          val hi = ls(i).toLong << 32
-          var j = i + 1
-          while (j < ls.length) {
-            val code = hi | lt(j).toLong
-            counts(code) = counts.getOrElse(code, 0) + 1
-            j += 1
-          }
-          i += 1
+      var i = 0
+      while (i < ls.length) {
+        val hi = ls(i).toLong << 32
+        var j = if (selfJoin) i + 1 else 0
+        while (j < lt.length) {
+          val code = hi | lt(j).toLong
+          counts(code) = counts.getOrElse(code, 0) + 1
+          j += 1
         }
-      } else {
-        var i = 0
-        while (i < ls.length) {
-          val hi = ls(i).toLong << 32
-          var j = 0
-          while (j < lt.length) {
-            val code = hi | lt(j).toLong
-            counts(code) = counts.getOrElse(code, 0) + 1
-            j += 1
-          }
-          i += 1
-        }
+        i += 1
       }
     }
     val cands = counts.iterator.collect {
@@ -132,22 +120,17 @@ object LocalJoin {
     val order = precomputedOrder.getOrElse(
       buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q))
 
-    val t0 = System.nanoTime()
     val sigS = signatures(k, left, order, cfg)
     val sigT = if (selfJoin) sigS else signatures(k, right, order, cfg)
-    val t1 = System.nanoTime()
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
-    val t2 = System.nanoTime()
     val out = cands.flatMap { case (si, ti) =>
       val sim = Usim.approx(k, left(si), right(ti), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= cfg.theta - 1e-12) Some((si, ti, sim)) else None
+      if (sim >= minSim(cfg.theta)) Some((si, ti, sim)) else None
     }
-    val t3 = System.nanoTime()
     val avgSig = if (left.isEmpty) 0.0
                  else (sigS.iterator.map(_.size).sum + sigT.iterator.map(_.size).sum).toDouble /
                       (sigS.length + sigT.length)
-    (out,
-     JoinStats(processed, cands.length, out.length, avgSig, t1 - t0, t2 - t1, t3 - t2))
+    (out, JoinStats(processed, cands.length, out.length, avgSig))
   }
 
   /** Brute-force verify-all join — the oracle the filtered joins are
@@ -166,7 +149,7 @@ object LocalJoin {
       val sim =
         if (useExact) Usim.exact(k, left(i), right(j), cfg.measures, cfg.q)
         else Usim.approx(k, left(i), right(j), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= cfg.theta - 1e-12) out += ((i, j, sim))
+      if (sim >= minSim(cfg.theta)) out += ((i, j, sim))
     }
     out.result()
   }

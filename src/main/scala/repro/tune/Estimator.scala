@@ -25,7 +25,6 @@ final class OnlineStats {
   def variance: Double = if (_n < 2) 0.0 else _var
   /** Variance of the running mean: σ̂²/n (CLT, Eqs 18–19). */
   def meanVariance: Double = if (_n < 2) 0.0 else _var / _n
-  def meanStd: Double = math.sqrt(meanVariance)
 }
 
 /** The independent Bernoulli estimator of Eq (17): scale a sampled
