@@ -36,9 +36,8 @@ object KJoin {
   /** Self-join: pairs (i, j, sim) with i < j and taxonomy sim ≥ θ. */
   def join(k: Knowledge, strings: IndexedSeq[String], theta: Double): Vector[(Int, Int, Double)] = {
     val sigs = strings.map(signature(k, _, theta))
-    LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2.flatMap { case (i, j) =>
-      val x = sim(k, strings(i), strings(j))
-      if (x >= LocalJoin.minSim(theta)) Some((i, j, x)) else None
-    }
+    val cands = LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2
+    LocalJoin.verifyStage(k, strings, strings, cands.iterator,
+      LocalJoin.Config(theta, measures = MeasureSet.T), selfJoin = true)
   }
 }

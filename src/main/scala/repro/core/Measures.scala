@@ -21,6 +21,23 @@ object Measures {
     if (inter == 0) 0.0 else inter.toDouble / (ga.size + gb.size - inter)
   }
 
+  /** Jaccard coefficient of two gram sets given as sorted arrays of
+    * distinct gram ids from one table: the same counts, hence the same
+    * double, as the `Set` overload.
+    */
+  def jaccard(ga: Array[Int], gb: Array[Int]): Double = {
+    var i = 0
+    var j = 0
+    var inter = 0
+    while (i < ga.length && j < gb.length) {
+      val d = ga(i) - gb(j)
+      if (d == 0) { inter += 1; i += 1; j += 1 }
+      else if (d < 0) i += 1
+      else j += 1
+    }
+    if (inter == 0) 0.0 else inter.toDouble / (ga.length + gb.length - inter)
+  }
+
   /** Synonym similarity (Eq 2): C(R) if a rule maps one span to the
     * other (in either direction — a rule makes its sides equivalent),
     * else 0. When several rules apply, the closest wins.

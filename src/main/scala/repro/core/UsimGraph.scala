@@ -61,8 +61,66 @@ object UsimGraph {
 
   private def mask(seg: Segment): Long = ((1L << seg.length) - 1L) << seg.start
 
-  /** Graph construction of §2.3: enumerate candidate segment pairs per
-    * enabled measure, weight each by msim, merge duplicates by max.
+  /** Interns q-grams as ints, so that two sides prepared on the same
+    * table compare gram sets by merging sorted id arrays. One table
+    * serves one join; it is mutable and must not be shared across
+    * threads.
+    */
+  final class GramTable {
+    private val table = mutable.HashMap.empty[String, Int]
+
+    /** G(text, q) (`Tokenizer.qgrams`) as sorted distinct gram ids. */
+    def ids(text: String, q: Int): Array[Int] = {
+      val occ = Tokenizer.qgramOccurrences(text, q).iterator
+        .map(g => table.getOrElseUpdate(g, table.size)).toArray
+      java.util.Arrays.sort(occ)
+      var n = 0
+      for (i <- occ.indices) if (n == 0 || occ(i) != occ(n - 1)) { occ(n) = occ(i); n += 1 }
+      java.util.Arrays.copyOf(occ, n)
+    }
+  }
+
+  /** One string's half of every conflict graph it takes part in: its
+    * well-defined segments with what the builder looks up per segment —
+    * q-gram ids (sorted, from `grams`), taxonomy node (−1 if none), the
+    * rules whose lhs is the segment, the rules touching it — and the
+    * coverage masks, single-token and entity segments derived from them.
+    */
+  final class Side private[UsimGraph] (
+      val len: Int,
+      val q: Int,
+      val grams: GramTable,
+      val segs: Array[Segment],
+      val gramIds: Array[Array[Int]],
+      val nodes: Array[Int],
+      val lhsRules: Array[Array[Int]],
+      val touching: Array[Array[Int]],
+  ) {
+    val masks: Array[Long] = segs.map(mask)
+    val singles: Array[Int] = segs.indices.filter(segs(_).length == 1).toArray
+    val entities: Array[Int] = nodes.indices.filter(nodes(_) >= 0).toArray
+
+    /** Segment indices by token span; looked up when this is T's side. */
+    lazy val bySpan: Map[Vector[String], Seq[Int]] =
+      segs.indices.groupBy(i => segs(i).tokens).view.mapValues(_.toSeq).toMap
+  }
+
+  /** Prepares a tokenised string for `build`: segment enumeration, gram
+    * sets and knowledge lookups, done once per string instead of once
+    * per pair.
+    */
+  def side(k: Knowledge, toks: Vector[String], q: Int, grams: GramTable): Side = {
+    require(toks.length <= 64, "strings longer than 64 tokens unsupported")
+    val segs = Segments.wellDefined(k, toks).toArray
+    new Side(toks.length, q, grams, segs,
+      segs.map(s => grams.ids(s.text, q)),
+      segs.map(s => k.taxonomy.byName.getOrElse(s.tokens, -1)),
+      segs.map(s => k.byLhs.getOrElse(s.tokens, Nil).toArray),
+      segs.map(s => k.rulesTouching(s.tokens).toArray))
+  }
+
+  /** Graph construction of §2.3 from raw token sequences: prepares both
+    * sides on a fresh gram table and builds from them.
     */
   def build(
       k: Knowledge,
@@ -71,70 +129,83 @@ object UsimGraph {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): UsimGraph = {
-    require(sToks.length <= 64 && tToks.length <= 64, "strings longer than 64 tokens unsupported")
-    val sSegs = Segments.wellDefined(k, sToks)
-    val tSegs = Segments.wellDefined(k, tToks)
-    val tBySpan: Map[Vector[String], Seq[Int]] =
-      tSegs.indices.groupBy(i => tSegs(i).tokens).view.mapValues(_.toSeq).toMap
+    val grams = new GramTable
+    build(k, side(k, sToks, q, grams), side(k, tToks, q, grams), measures)
+  }
 
-    val cand = mutable.LinkedHashSet[(Int, Int)]()
-
-    // Gram sets per distinct token text, computed once (the hot path of
-    // pairwise verification — Jaccard over all single-token pairs).
-    val gramCache = mutable.HashMap[String, Set[String]]()
-    def grams(text: String): Set[String] =
-      gramCache.getOrElseUpdate(text, Tokenizer.qgrams(text, q))
+  /** Graph construction of §2.3: enumerate candidate segment pairs per
+    * enabled measure — single-token pairs for Jaccard, rule-side pairs
+    * for synonyms, entity pairs for the taxonomy — in that order, first
+    * occurrence kept; weight each by msim; keep those above 0.
+    */
+  def build(k: Knowledge, s: Side, t: Side, measures: MeasureSet): UsimGraph = {
+    require(s.grams eq t.grams, "sides must be prepared on one gram table")
+    require(s.q == t.q, "sides must be prepared with one q")
+    val nT = t.segs.length
+    val seen = new Array[Long]((s.segs.length * nT + 63) >>> 6)
+    val cand = mutable.ArrayBuilder.make[Int]
+    def add(si: Int, ti: Int): Unit = {
+      val c = si * nT + ti
+      if ((seen(c >>> 6) & (1L << c)) == 0L) { seen(c >>> 6) |= 1L << c; cand += c }
+    }
 
     // (c) single-token pairs — gram Jaccard applies to any of them.
-    if (measures.j) {
-      val sSingles = sSegs.indices.filter(sSegs(_).length == 1)
-      val tSingles = tSegs.indices.filter(tSegs(_).length == 1)
-      for (si <- sSingles; ti <- tSingles) cand += ((si, ti))
-    }
+    if (measures.j) for (si <- s.singles; ti <- t.singles) add(si, ti)
     // (a) synonym-rule pairs, either direction.
     if (measures.s) {
-      for (si <- sSegs.indices; rid <- k.rulesTouching(sSegs(si).tokens)) {
+      for (si <- s.segs.indices; rid <- s.touching(si)) {
         val r = k.rule(rid)
-        val targets =
-          (if (r.lhs == sSegs(si).tokens) tBySpan.getOrElse(r.rhs, Nil) else Nil) ++
-            (if (r.rhs == sSegs(si).tokens) tBySpan.getOrElse(r.lhs, Nil) else Nil)
-        for (ti <- targets) cand += ((si, ti))
+        val toks = s.segs(si).tokens
+        if (r.lhs == toks) for (ti <- t.bySpan.getOrElse(r.rhs, Nil)) add(si, ti)
+        if (r.rhs == toks) for (ti <- t.bySpan.getOrElse(r.lhs, Nil)) add(si, ti)
       }
     }
     // (b) taxonomy-entity pairs.
-    if (measures.t) {
-      val sEnt = sSegs.indices.filter(i => k.taxonomy.byName.contains(sSegs(i).tokens))
-      val tEnt = tSegs.indices.filter(i => k.taxonomy.byName.contains(tSegs(i).tokens))
-      for (si <- sEnt; ti <- tEnt) cand += ((si, ti))
-    }
+    if (measures.t) for (si <- s.entities; ti <- t.entities) add(si, ti)
 
-    val ws = Array.newBuilder[Double]
-    val mS = Array.newBuilder[Long]
-    val mT = Array.newBuilder[Long]
-    val vs = Array.newBuilder[Segment]
-    val vt = Array.newBuilder[Segment]
-    for ((si, ti) <- cand) {
-      // msim inline: Jaccard via the gram cache, synonym/taxonomy via the
-      // same lookups as Measures.msim.
+    val cs = cand.result()
+    val ws = new Array[Double](cs.length)
+    val mS = new Array[Long](cs.length)
+    val mT = new Array[Long](cs.length)
+    val vs = new Array[Segment](cs.length)
+    val vt = new Array[Segment](cs.length)
+    var n = 0
+    for (c <- cs) {
+      val si = c / nT
+      val ti = c % nT
+      // msim (Eq 4) from the prepared lookups, as Measures.msim computes it.
       var w = 0.0
-      if (measures.j) w = Measures.jaccard(grams(sSegs(si).text), grams(tSegs(ti).text))
+      if (measures.j) w = Measures.jaccard(s.gramIds(si), t.gramIds(ti))
       if (measures.s) {
-        val x = Measures.synonym(k, sSegs(si).tokens, tSegs(ti).tokens)
+        val x = math.max(synonym(k, s.lhsRules(si), t.segs(ti).tokens),
+                         synonym(k, t.lhsRules(ti), s.segs(si).tokens))
         if (x > w) w = x
       }
-      if (measures.t) {
-        val x = Measures.taxonomy(k, sSegs(si).tokens, tSegs(ti).tokens)
+      if (measures.t && s.nodes(si) >= 0 && t.nodes(ti) >= 0) {
+        val x = k.taxonomy.sim(s.nodes(si), t.nodes(ti))
         if (x > w) w = x
       }
       if (w > 0.0) {
-        ws += w
-        mS += mask(sSegs(si))
-        mT += mask(tSegs(ti))
-        vs += sSegs(si)
-        vt += tSegs(ti)
+        ws(n) = w
+        mS(n) = s.masks(si)
+        mT(n) = t.masks(ti)
+        vs(n) = s.segs(si)
+        vt(n) = t.segs(ti)
+        n += 1
       }
     }
-    new UsimGraph(sToks.length, tToks.length, ws.result(), mS.result(), mT.result(),
-      vs.result(), vt.result())
+    new UsimGraph(s.len, t.len, ws.take(n), mS.take(n), mT.take(n), vs.take(n), vt.take(n))
+  }
+
+  /** Eq (2) in one direction: the largest C(R) among `lhsRules` whose
+    * rhs is `rhs`, else 0.
+    */
+  private def synonym(k: Knowledge, lhsRules: Array[Int], rhs: Vector[String]): Double = {
+    var best = 0.0
+    for (rid <- lhsRules) {
+      val r = k.rule(rid)
+      if (r.rhs == rhs && r.c > best) best = r.c
+    }
+    best
   }
 }

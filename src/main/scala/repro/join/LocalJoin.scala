@@ -123,14 +123,44 @@ object LocalJoin {
     val sigS = signatures(k, left, order, cfg)
     val sigT = if (selfJoin) sigS else signatures(k, right, order, cfg)
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
-    val out = cands.flatMap { case (si, ti) =>
-      val sim = Usim.approx(k, left(si), right(ti), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= minSim(cfg.theta)) Some((si, ti, sim)) else None
-    }
+    val out = verifyStage(k, left, right, cands.iterator, cfg, selfJoin)
     val avgSig = if (left.isEmpty) 0.0
                  else (sigS.iterator.map(_.size).sum + sigT.iterator.map(_.size).sum).toDouble /
                       (sigS.length + sigT.length)
     (out, JoinStats(processed, cands.length, out.length, avgSig))
+  }
+
+  /** Verification stage (Lines 9-11 of Algorithm 6): the approximate
+    * (or, with `useExact`, exact) USIM of each pair, kept when it reaches
+    * θ. Each string's side is prepared once, on first use, and serves
+    * every pair it is in.
+    */
+  def verifyStage(
+      k: Knowledge,
+      left: IndexedSeq[String],
+      right: IndexedSeq[String],
+      pairs: Iterator[(Int, Int)],
+      cfg: Config,
+      selfJoin: Boolean,
+      useExact: Boolean = false,
+  ): Vector[(Int, Int, Double)] = {
+    val grams = new UsimGraph.GramTable
+    def sides(strings: IndexedSeq[String]): Int => UsimGraph.Side = {
+      val memo = new Array[UsimGraph.Side](strings.length)
+      i => {
+        if (memo(i) == null) memo(i) = UsimGraph.side(k, Tokenizer.tokens(strings(i)), cfg.q, grams)
+        memo(i)
+      }
+    }
+    val sideS = sides(left)
+    val sideT = if (selfJoin) sideS else sides(right)
+    val out = Vector.newBuilder[(Int, Int, Double)]
+    for ((i, j) <- pairs) {
+      val g = UsimGraph.build(k, sideS(i), sideT(j), cfg.measures)
+      val sim = if (useExact) Usim.exactOnGraph(g) else Usim.approxOnGraph(g, cfg.tParam)._1
+      if (sim >= minSim(cfg.theta)) out += ((i, j, sim))
+    }
+    out.result()
   }
 
   /** Brute-force verify-all join — the oracle the filtered joins are
@@ -144,13 +174,8 @@ object LocalJoin {
       selfJoin: Boolean = false,
       useExact: Boolean = false,
   ): Vector[(Int, Int, Double)] = {
-    val out = Vector.newBuilder[(Int, Int, Double)]
-    for (i <- left.indices; j <- right.indices if !selfJoin || i < j) {
-      val sim =
-        if (useExact) Usim.exact(k, left(i), right(j), cfg.measures, cfg.q)
-        else Usim.approx(k, left(i), right(j), cfg.measures, cfg.q, cfg.tParam)
-      if (sim >= minSim(cfg.theta)) out += ((i, j, sim))
-    }
-    out.result()
+    val pairs = for (i <- left.indices.iterator; j <- right.indices.iterator if !selfJoin || i < j)
+      yield (i, j)
+    verifyStage(k, left, right, pairs, cfg, selfJoin, useExact)
   }
 }

@@ -18,8 +18,10 @@ object CostModel {
 
   /** Measure c_f and c_v on a small sample of the actual workload:
     * c_f = time per processed pair in the filtering stage, c_v = time
-    * per USIM verification. Mirrors the paper's assumption that both
-    * are dataset-level constants.
+    * per USIM verification, run by the join's own verification stage
+    * (each string's side prepared on first use, inside the timing).
+    * Mirrors the paper's assumption that both are dataset-level
+    * constants.
     */
   def calibrate(
       k: Knowledge,
@@ -33,9 +35,7 @@ object CostModel {
     val t1 = System.nanoTime()
     val toVerify = cands.take(200)
     val t2 = System.nanoTime()
-    toVerify.foreach { case (i, j) =>
-      Usim.approx(k, sample(i), sample(j), cfg.measures, cfg.q, cfg.tParam)
-    }
+    LocalJoin.verifyStage(k, sample, sample, toVerify.iterator, cfg, selfJoin = true)
     val t3 = System.nanoTime()
     val cf = if (processed > 0) (t1 - t0).toDouble / processed else 50.0
     val cv = if (toVerify.nonEmpty) (t3 - t2).toDouble / toVerify.size else 10000.0

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.TextGen
+import scala.collection.mutable
 
 /** Fixtures around the paper's Figure 2 (Example 4/5) instance. */
 object Figure2 {
@@ -16,6 +18,58 @@ object Figure2 {
   val s = "a b c d e"
   val t = "f g h"
   def graph: UsimGraph = Usim.graph(k, s, t, MeasureSet.S)
+}
+
+/** A transcription of the per-pair graph builder that preceded
+  * prepared sides (gram sets as `Set[String]`, every lookup made per
+  * pair) — the reference `UsimGraph.build` is compared against.
+  */
+object PerPairBuild {
+  def build(k: Knowledge, sToks: Vector[String], tToks: Vector[String],
+      measures: MeasureSet, q: Int = Measures.DefaultQ): UsimGraph = {
+    require(sToks.length <= 64 && tToks.length <= 64, "strings longer than 64 tokens unsupported")
+    val sSegs = Segments.wellDefined(k, sToks)
+    val tSegs = Segments.wellDefined(k, tToks)
+    val tBySpan: Map[Vector[String], Seq[Int]] =
+      tSegs.indices.groupBy(i => tSegs(i).tokens).view.mapValues(_.toSeq).toMap
+    val cand = mutable.LinkedHashSet[(Int, Int)]()
+    if (measures.j) {
+      val sSingles = sSegs.indices.filter(sSegs(_).length == 1)
+      val tSingles = tSegs.indices.filter(tSegs(_).length == 1)
+      for (si <- sSingles; ti <- tSingles) cand += ((si, ti))
+    }
+    if (measures.s) {
+      for (si <- sSegs.indices; rid <- k.rulesTouching(sSegs(si).tokens)) {
+        val r = k.rule(rid)
+        val targets =
+          (if (r.lhs == sSegs(si).tokens) tBySpan.getOrElse(r.rhs, Nil) else Nil) ++
+            (if (r.rhs == sSegs(si).tokens) tBySpan.getOrElse(r.lhs, Nil) else Nil)
+        for (ti <- targets) cand += ((si, ti))
+      }
+    }
+    if (measures.t) {
+      val sEnt = sSegs.indices.filter(i => k.taxonomy.byName.contains(sSegs(i).tokens))
+      val tEnt = tSegs.indices.filter(i => k.taxonomy.byName.contains(tSegs(i).tokens))
+      for (si <- sEnt; ti <- tEnt) cand += ((si, ti))
+    }
+    def mask(seg: Segment): Long = ((1L << seg.length) - 1L) << seg.start
+    val kept = cand.toVector.flatMap { case (si, ti) =>
+      var w = 0.0
+      if (measures.j)
+        w = Measures.jaccard(Tokenizer.qgrams(sSegs(si).text, q), Tokenizer.qgrams(tSegs(ti).text, q))
+      if (measures.s) w = math.max(w, Measures.synonym(k, sSegs(si).tokens, tSegs(ti).tokens))
+      if (measures.t) w = math.max(w, Measures.taxonomy(k, sSegs(si).tokens, tSegs(ti).tokens))
+      if (w > 0.0) Some((w, sSegs(si), tSegs(ti))) else None
+    }
+    new UsimGraph(sToks.length, tToks.length, kept.map(_._1).toArray,
+      kept.map(v => mask(v._2)).toArray, kept.map(v => mask(v._3)).toArray,
+      kept.map(_._2).toArray, kept.map(_._3).toArray)
+  }
+
+  /** Everything a graph holds, weights as raw bits, in vertex order. */
+  def dump(g: UsimGraph): (Int, Int, Seq[(Long, Long, Long, Segment, Segment)]) =
+    (g.sLen, g.tLen, g.weights.indices.map(v => (java.lang.Double.doubleToRawLongBits(g.weights(v)),
+      g.maskS(v), g.maskT(v), g.sSegs(v), g.tSegs(v))))
 }
 
 class UsimGraphSpec extends AnyFunSuite {
@@ -111,5 +165,49 @@ class UsimGraphSpec extends AnyFunSuite {
     val long = Vector.fill(65)("tok").mkString(" ")
     for (m <- Seq(MeasureSet.J, MeasureSet.TJS))
       intercept[IllegalArgumentException](Usim.graph(Knowledge.empty, long, "tok", m))
+  }
+
+  test("graphs from prepared sides equal the per-pair build, vertex order included") {
+    import PerPairBuild.dump
+    def toks(s: String) = Tokenizer.tokens(s)
+    def check(k: Knowledge, left: IndexedSeq[String], right: IndexedSeq[String],
+        pairs: Iterator[(Int, Int)], ms: Seq[MeasureSet]): Int = {
+      val grams = new UsimGraph.GramTable
+      val sl = left.map(s => UsimGraph.side(k, toks(s), Measures.DefaultQ, grams))
+      val sr = if (right eq left) sl
+               else right.map(s => UsimGraph.side(k, toks(s), Measures.DefaultQ, grams))
+      var n = 0
+      for ((i, j) <- pairs; m <- ms) {
+        val want = dump(PerPairBuild.build(k, toks(left(i)), toks(right(j)), m))
+        assert(dump(UsimGraph.build(k, sl(i), sr(j), m)) == want, s"${left(i)} | ${right(j)} ${m.label}")
+        n += 1
+      }
+      n
+    }
+    def allPairs(n: Int, m: Int) = for (i <- (0 until n).iterator; j <- (0 until m).iterator) yield (i, j)
+    var graphs = 0
+    for (kind <- Seq(TextGen.MedLite, TextGen.WikiLite); seed <- Seq(3L, 31L)) {
+      val ctx = TextGen.context(kind, seed)
+      val strs = TextGen.joinDataset(ctx, 50, seed).strings
+      graphs += check(ctx.knowledge, strs, strs, allPairs(50, 50).filter(p => p._1 < p._2), MeasureSet.all)
+      // two collections whose sides share one gram table
+      val other = TextGen.joinDataset(ctx, 20, seed + 1).strings
+      graphs += check(ctx.knowledge, strs.take(20), other, allPairs(20, 20), Seq(MeasureSet.TJS))
+    }
+    val f1 = Vector("coffee shop latte", "cafe espresso", "apple cake gateau",
+      "cake latte coffee drinks", "food wikipedia", "latte latte cake cake")
+    graphs += check(Knowledge.figure1, f1, f1, allPairs(f1.length, f1.length), MeasureSet.all)
+    for (kk <- 3 to 10; seed <- 0L until 10L) {
+      val (k, s, t) = TextGen.conflictInstance(kk, seed)
+      graphs += check(k, Vector(s), Vector(t), Iterator((0, 0)), MeasureSet.all)
+    }
+    assert(graphs > 30000)
+  }
+
+  test("sides from two gram tables are rejected") {
+    val k = Knowledge.figure1
+    val a = UsimGraph.side(k, Tokenizer.tokens("latte cake"), Measures.DefaultQ, new UsimGraph.GramTable)
+    val b = UsimGraph.side(k, Tokenizer.tokens("espresso"), Measures.DefaultQ, new UsimGraph.GramTable)
+    intercept[IllegalArgumentException](UsimGraph.build(k, a, b, MeasureSet.TJS))
   }
 }

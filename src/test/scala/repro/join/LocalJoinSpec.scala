@@ -110,4 +110,28 @@ class LocalJoinSpec extends AnyFunSuite {
       assert(pairSet(res).contains((0, 1)), s"$algo theta=$theta")
     }
   }
+
+  test("join reports exactly the candidates whose per-pair Usim.approx reaches θ, bit for bit") {
+    def bits(v: Vector[(Int, Int, Double)]) =
+      v.map(r => (r._1, r._2, java.lang.Double.doubleToRawLongBits(r._3)))
+    def check(k: Knowledge, left: IndexedSeq[String], right: IndexedSeq[String],
+        cfg: LocalJoin.Config, selfJoin: Boolean): Unit = {
+      val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
+      val sigS = LocalJoin.signatures(k, left, order, cfg)
+      val sigT = if (selfJoin) sigS else LocalJoin.signatures(k, right, order, cfg)
+      val want = LocalJoin.filterStage(sigS, sigT, cfg.tau, selfJoin)._2.flatMap { case (i, j) =>
+        val sim = Usim.approx(k, left(i), right(j), cfg.measures, cfg.q, cfg.tParam)
+        if (sim >= LocalJoin.minSim(cfg.theta)) Some((i, j, sim)) else None
+      }
+      val got = LocalJoin.join(k, left, right, cfg, selfJoin, Some(order))._1
+      assert(want.nonEmpty, s"no pairs reach θ=${cfg.theta} (selfJoin=$selfJoin)")
+      assert(bits(got) == bits(want))
+    }
+    val cfg = LocalJoin.Config(0.6, 1, SigAlgo.UFilter)
+    check(k, ds.strings, ds.strings, cfg, selfJoin = true)
+    check(k, ds.strings.take(80), ds.strings.drop(40), cfg, selfJoin = false)
+    val wiki = TextGen.context(TextGen.WikiLite, 31L)
+    val wikiDs = TextGen.joinDataset(wiki, 100, 31L)
+    check(wiki.knowledge, wikiDs.strings, wikiDs.strings, cfg.copy(theta = 0.8), selfJoin = true)
+  }
 }
