@@ -28,11 +28,13 @@ object AdaptJoin {
   def gramOrder(strings: Iterable[String], q: Int): Map[String, Int] =
     Pebbles.keyOrder(strings.iterator.map(grams(_, q)))
 
-  /** ℓ-prefix of a string: the first |G| − ⌈θ|G|⌉ + ℓ grams, rarest first. */
-  def prefix(s: String, theta: Double, ell: Int, order: Map[String, Int], q: Int): Set[String] = {
-    val gs = grams(s, q).sortBy(g => (order.getOrElse(g, Int.MaxValue), g))
-    val len = math.max(0, gs.length - math.ceil(theta * gs.length).toInt + ell)
-    gs.take(math.min(len, gs.length)).toSet
+  /** ℓ-prefix of a string: the ranks of its first |G| − ⌈θ|G|⌉ + ℓ
+    * grams, rarest first, as a sorted distinct array.
+    */
+  def prefix(s: String, theta: Double, ell: Int, order: Map[String, Int], q: Int): Array[Int] = {
+    val ranks = Pebbles.ranksOf(grams(s, q), order).sorted
+    val len = math.max(0, ranks.length - math.ceil(theta * ranks.length).toInt + ell)
+    ranks.take(len).distinct
   }
 
   private def candidates(

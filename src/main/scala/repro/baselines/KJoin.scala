@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core._
-import repro.join.LocalJoin
+import repro.join.{LocalJoin, Pebbles}
 
 /** Reimplementation of K-Join [46] (Shang et al., TKDE 2016):
   * knowledge-aware similarity join on taxonomy signatures.
@@ -35,7 +35,7 @@ object KJoin {
 
   /** Self-join: pairs (i, j, sim) with i < j and taxonomy sim ≥ θ. */
   def join(k: Knowledge, strings: IndexedSeq[String], theta: Double): Vector[(Int, Int, Double)] = {
-    val sigs = strings.map(signature(k, _, theta))
+    val sigs = Pebbles.rankSets(strings.map(signature(k, _, theta)))
     val cands = LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2
     LocalJoin.verifyStage(k, strings, strings, cands.iterator,
       LocalJoin.Config(theta, measures = MeasureSet.T), selfJoin = true)

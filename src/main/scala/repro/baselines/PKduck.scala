@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.{Knowledge, Tokenizer}
-import repro.join.LocalJoin
+import repro.join.{LocalJoin, Pebbles}
 
 /** Reimplementation of PKduck [50] (Tao et al., PVLDB 2017):
   * similarity join under synonym/abbreviation rules, where the
@@ -72,7 +72,7 @@ object PKduck {
 
   /** Self-join: pairs with PKduck similarity ≥ θ. */
   def join(k: Knowledge, strings: IndexedSeq[String], theta: Double): Vector[(Int, Int, Double)] = {
-    val sigs = strings.map(signature(k, _))
+    val sigs = Pebbles.rankSets(strings.map(signature(k, _)))
     LocalJoin.filterStage(sigs, sigs, tau = 1, selfJoin = true)._2.flatMap { case (i, j) =>
       val x = sim(k, strings(i), strings(j))
       if (x >= LocalJoin.minSim(theta)) Some((i, j, x)) else None

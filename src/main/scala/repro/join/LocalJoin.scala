@@ -52,57 +52,76 @@ object LocalJoin {
       strings: IndexedSeq[String],
       order: Map[String, Int],
       cfg: Config,
-  ): IndexedSeq[Set[String]] =
+  ): IndexedSeq[Array[Int]] =
     strings.map { s =>
       new SignatureContext(Tokenizer.tokens(s), k, cfg.measures, cfg.q, order)
         .select(cfg.algo, cfg.theta, cfg.tau)
     }
 
   /** Filtering stage only (Lines 1-8 of Algorithm 6): returns
-    * (T_τ processed pairs, candidate pair list). Used by both the full
-    * join and the τ estimator.
+    * (T_τ processed pairs, candidate pair list sorted by (i, j)). Used
+    * by the full join, the τ estimator, the cost calibration and the
+    * baselines.
+    *
+    * Signatures are sorted, distinct rank arrays. The inverted lists
+    * over T's signatures (S's in a self-join) are arrays indexed by
+    * rank, each list ascending. Each S string walks its keys' lists —
+    * in a self-join only the entries above it — counting shared keys
+    * per T string; T_τ is the number of entries walked, Σ C(|L|, 2) for
+    * a self-join and Σ |Ls|·|Lt| otherwise.
     */
   def filterStage(
-      sigS: IndexedSeq[Set[String]],
-      sigT: IndexedSeq[Set[String]],
+      sigS: IndexedSeq[Array[Int]],
+      sigT: IndexedSeq[Array[Int]],
       tau: Int,
       selfJoin: Boolean,
   ): (Long, Vector[(Int, Int)]) = {
-    val invS = invert(sigS)
-    val invT = if (selfJoin) invS else invert(sigT)
-    var processed = 0L
-    for ((key, ls) <- invS; lt <- invT.get(key))
-      processed += (if (selfJoin) ls.length.toLong * (ls.length - 1) / 2
-                    else ls.length.toLong * lt.length)
-    // T_τ bounds the number of distinct pairs; large joins start at 2^16.
-    val counts = new scala.collection.mutable.LongMap[Int](math.min(processed, 1L << 16).toInt)
-    for ((key, ls) <- invS; lt <- invT.get(key)) {
-      var i = 0
-      while (i < ls.length) {
-        val hi = ls(i).toLong << 32
-        var j = if (selfJoin) i + 1 else 0
-        while (j < lt.length) {
-          val code = hi | lt(j).toLong
-          counts(code) = counts.getOrElse(code, 0) + 1
-          j += 1
-        }
-        i += 1
-      }
-    }
-    val cands = counts.iterator.collect {
-      case (code, c) if c >= tau => ((code >> 32).toInt, code.toInt)
-    }.toVector.sorted
-    (processed, cands)
-  }
+    val indexed = if (selfJoin) sigS else sigT
+    var maxRank = -1
+    for (sig <- indexed; r <- sig) if (r > maxRank) maxRank = r
+    // list of rank r: ids(start(r) until start(r + 1))
+    val start = new Array[Int](maxRank + 2)
+    for (sig <- indexed; r <- sig) start(r + 1) += 1
+    for (r <- 1 until start.length) start(r) += start(r - 1)
+    val ids = new Array[Int](start(start.length - 1))
+    val fill = java.util.Arrays.copyOf(start, start.length)
+    for (j <- indexed.indices; r <- indexed(j)) { ids(fill(r)) = j; fill(r) += 1 }
 
-  private def invert(sigs: IndexedSeq[Set[String]]): Map[String, Vector[Int]] = {
-    val m = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
+    val count = new Array[Int](indexed.length)
+    val touched = new Array[Int](indexed.length)
+    var processed = 0L
+    val out = Vector.newBuilder[(Int, Int)]
     var i = 0
-    while (i < sigs.length) {
-      for (key <- sigs(i)) m.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer()) += i
+    while (i < sigS.length) {
+      val sig = sigS(i)
+      var nTouched = 0
+      var x = 0
+      while (x < sig.length) {
+        val r = sig(x)
+        if (r <= maxRank) {
+          val lo = start(r)
+          var p = start(r + 1) - 1
+          while (p >= lo && (!selfJoin || ids(p) > i)) {
+            val j = ids(p)
+            if (count(j) == 0) { touched(nTouched) = j; nTouched += 1 }
+            count(j) += 1
+            p -= 1
+          }
+          processed += start(r + 1) - 1 - p
+        }
+        x += 1
+      }
+      java.util.Arrays.sort(touched, 0, nTouched)
+      var t = 0
+      while (t < nTouched) {
+        val j = touched(t)
+        if (count(j) >= tau) out += ((i, j))
+        count(j) = 0
+        t += 1
+      }
       i += 1
     }
-    m.view.mapValues(_.toVector).toMap
+    (processed, out.result())
   }
 
   /** Full filter-and-verification join. For a self-join pass the same
@@ -124,7 +143,7 @@ object LocalJoin {
     val sigT = if (selfJoin) sigS else signatures(k, right, order, cfg)
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
     val out = verifyStage(k, left, right, cands.iterator, cfg, selfJoin)
-    val avgSig = if (left.isEmpty) 0.0
+    val avgSig = if (sigS.isEmpty && sigT.isEmpty) 0.0
                  else (sigS.iterator.map(_.size).sum + sigT.iterator.map(_.size).sum).toDouble /
                       (sigS.length + sigT.length)
     (out, JoinStats(processed, cands.length, out.length, avgSig))

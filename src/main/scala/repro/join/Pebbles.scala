@@ -2,10 +2,10 @@ package repro.join
 
 import repro.core._
 
-/** One pebble occurrence: a key shared across strings (what inverted
-  * lists are built on), its weight, and the (segment, measure) group it
-  * was generated from (what AS/TW/DP aggregate over). Paper §3.1,
-  * Table 2.
+/** One pebble occurrence: a key shared across strings (what the global
+  * order ranks; signatures and inverted lists hold the rank), its
+  * weight, and the (segment, measure) group it was generated from (what
+  * AS/TW/DP aggregate over). Paper §3.1, Table 2.
   *
   * Key namespaces keep measures from colliding: `g:` gram, `s:` rule
   * lhs, `t:` taxonomy node id.
@@ -79,10 +79,30 @@ object Pebbles {
       .map { case ((k, _), r) => k -> r }
       .toMap
 
-  /** Sort instances by a global order (missing keys last, then key/group
-    * for determinism). An alphabetical order (empty map) is still a
-    * valid global order — used by unit tests.
+  /** Each key's rank in a global order. A key the order lacks ranks
+    * after every key it has: `order.size` plus its alphabetical index
+    * among the missing keys of `keys` (an empty or partial order, as in
+    * unit tests). `order` must hold the dense ranks `0 until order.size`
+    * that `rank` gives, and ranks from two calls are comparable only
+    * when the order covers both calls' keys — every join's order covers
+    * its collection.
     */
-  def sorted(instances: Vector[PebbleInstance], order: Map[String, Int]): Vector[PebbleInstance] =
-    instances.sortBy(p => (order.getOrElse(p.key, Int.MaxValue), p.key, p.segIdx, p.measure))
+  def ranksOf(keys: IndexedSeq[String], order: Map[String, Int]): Array[Int] = {
+    val ranks = keys.iterator.map(order.getOrElse(_, -1)).toArray
+    if (ranks.contains(-1)) {
+      val missing = keys.indices.iterator.filter(ranks(_) < 0).map(keys).toSeq.distinct.sorted
+        .zipWithIndex.toMap
+      for (p <- ranks.indices if ranks(p) < 0) ranks(p) = order.size + missing(keys(p))
+    }
+    ranks
+  }
+
+  /** Per-string key sets as sorted rank arrays under their own
+    * frequency order (`keyOrder`): how the baselines key their
+    * signatures for `LocalJoin.filterStage`.
+    */
+  def rankSets(sigs: IndexedSeq[Set[String]]): IndexedSeq[Array[Int]] = {
+    val order = keyOrder(sigs.iterator)
+    sigs.map(_.iterator.map(order).toArray.sorted)
+  }
 }

@@ -18,6 +18,12 @@ object SigAlgo {
   * partition lower bound m, the accumulated-similarity array AS(i, S)
   * (Def 4), and the three selection algorithms. Positions are 1-based
   * as in the paper.
+  *
+  * Pebbles are keyed by their rank in the global `order`
+  * (`Pebbles.ranksOf`), so signatures are rank arrays. Ranks of two
+  * contexts are comparable only when the order covers both strings'
+  * keys: `LocalJoin.buildOrder` covers the joined collection and
+  * `SparkJoin.computeOrder` the corpus.
   */
 final class SignatureContext(
     val tokens: Vector[String],
@@ -28,9 +34,18 @@ final class SignatureContext(
 ) {
   val segments: Vector[Segment] = Segments.wellDefined(k, tokens)
 
-  /** B: all pebbles sorted by the global order (Line 1 of Algs 2/4/5). */
-  val pebbles: Vector[PebbleInstance] =
-    Pebbles.sorted(Pebbles.generate(k, segments, measures, q), order)
+  /** B: all pebbles sorted by the global order (Line 1 of Algs 2/4/5),
+    * and `ranks(p)` the rank of pebble p's key. `Pebbles.generate` emits
+    * pebbles by segment, then measure J < S < T, so sorting by (rank,
+    * generation index) breaks ties by (segment, measure).
+    */
+  val (pebbles: Vector[PebbleInstance], ranks: Array[Int]) = {
+    val gen = Pebbles.generate(k, segments, measures, q)
+    val r = Pebbles.ranksOf(gen.map(_.key), order)
+    val codes = Array.tabulate(gen.length)(p => r(p).toLong << 32 | p)
+    java.util.Arrays.sort(codes)
+    (codes.iterator.map(c => gen(c.toInt)).toVector, codes.map(c => (c >>> 32).toInt))
+  }
 
   val n: Int = pebbles.length
 
@@ -43,8 +58,13 @@ final class SignatureContext(
     * measure), numbered in order of first appearance.
     */
   private val groupOf: Array[Int] = {
-    val ids = scala.collection.mutable.HashMap[(Int, Char), Int]()
-    pebbles.iterator.map(p => ids.getOrElseUpdate((p.segIdx, p.measure), ids.size)).toArray
+    val ids = Array.fill(segments.length * 3)(-1) // (segment, measure) at seg·3 + "JST" index
+    var next = 0
+    pebbles.iterator.map { p =>
+      val slot = p.segIdx * 3 + "JST".indexOf(p.measure)
+      if (ids(slot) < 0) { ids(slot) = next; next += 1 }
+      ids(slot)
+    }.toArray
   }
 
   private val nGroups: Int = if (n == 0) 0 else groupOf.max + 1
@@ -255,12 +275,21 @@ final class SignatureContext(
 
   // ------------------------------------------------------------ signature
 
-  /** Distinct keys of the first `len` pebbles — what inverted lists index. */
-  def signature(len: Int): Set[String] =
-    pebbles.iterator.take(len).map(_.key).toSet
+  /** Distinct ranks of the first `len` pebbles, ascending — what
+    * inverted lists index.
+    */
+  def signature(len: Int): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var p = 0
+    while (p < len) {
+      if (p == 0 || ranks(p) != ranks(p - 1)) out += ranks(p)
+      p += 1
+    }
+    out.result()
+  }
 
   /** Select the signature with the given algorithm. */
-  def select(algo: SigAlgo, theta: Double, tau: Int): Set[String] = {
+  def select(algo: SigAlgo, theta: Double, tau: Int): Array[Int] = {
     val len = algo match {
       case SigAlgo.UFilter     => uFilter(theta)
       case SigAlgo.AUHeuristic => auHeuristic(theta, tau)

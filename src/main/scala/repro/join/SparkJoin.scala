@@ -42,7 +42,9 @@ object SparkJoin {
       .map(r => (r.getString(0), r.getLong(1))))
   }
 
-  /** (`id`, `key`) exploded signatures of a collection. */
+  /** (`id`, `key`) exploded signatures of a collection; `key` is the
+    * pebble's integer rank in `order`.
+    */
   def signatureKeys(
       spark: SparkSession,
       strings: DataFrame,
@@ -55,7 +57,7 @@ object SparkJoin {
     val sigUdf = udf { (s: String) =>
       new SignatureContext(Tokenizer.tokens(s), bk.value, cfg.measures, cfg.q, bo.value)
         .select(cfg.algo, cfg.theta, cfg.tau)
-        .toSeq
+        .toSeq: Seq[Int]
     }
     strings.select(col("id"), explode(sigUdf(col("str"))).as("key"))
   }

@@ -54,13 +54,15 @@ object TauSuggest {
     val rng = new Random(seed)
     // A selected signature depends only on (string, τ): select a string's
     // signatures for the whole universe the first time it is sampled and
-    // keep those, not its context.
-    val sigCache = scala.collection.mutable.HashMap[Int, Array[Set[String]]]()
-    def sigsOf(i: Int): Array[Set[String]] =
-      sigCache.getOrElseUpdate(i, {
+    // keep those, not its context. Null until the string is sampled.
+    val sigCache = new Array[Array[Array[Int]]](strings.length)
+    def sigsOf(i: Int): Array[Array[Int]] = {
+      if (sigCache(i) == null) {
         val ctx = new SignatureContext(Tokenizer.tokens(strings(i)), k, cfg.measures, cfg.q, order)
-        universe.iterator.map(tau => ctx.select(cfg.algo, cfg.theta, tau)).toArray
-      })
+        sigCache(i) = universe.iterator.map(tau => ctx.select(cfg.algo, cfg.theta, tau)).toArray
+      }
+      sigCache(i)
+    }
 
     val state = universe.map(t => t -> new TauState).toMap
     var n = 0
@@ -71,7 +73,7 @@ object TauSuggest {
       val sampled = strings.indices.filter(_ => rng.nextDouble() < ps).map(sigsOf)
       var sumT = 0.0
       for ((tau, u) <- universe.zipWithIndex) {
-        val sigs: IndexedSeq[Set[String]] = sampled.map(_(u))
+        val sigs: IndexedSeq[Array[Int]] = sampled.map(_(u))
         val (processed, cands) = LocalJoin.filterStage(sigs, sigs, tau, selfJoin = true)
         val st = state(tau)
         st.t.add(BernoulliEstimator.scale(processed.toDouble, ps, ps))

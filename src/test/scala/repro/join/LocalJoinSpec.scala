@@ -96,6 +96,88 @@ class LocalJoinSpec extends AnyFunSuite {
     assert(counts == counts.sorted.reverse)
   }
 
+  /** The string-keyed filter `filterStage` replaced, transcribed:
+    * hash-map inverted lists, then a pair-count map over every list pair.
+    */
+  private def stringKeyedFilter(
+      sigS: IndexedSeq[Set[String]],
+      sigT: IndexedSeq[Set[String]],
+      tau: Int,
+      selfJoin: Boolean,
+  ): (Long, Vector[(Int, Int)]) = {
+    def invert(sigs: IndexedSeq[Set[String]]): Map[String, Vector[Int]] =
+      sigs.indices.flatMap(i => sigs(i).map(_ -> i)).groupBy(_._1).view
+        .mapValues(_.map(_._2).toVector.sorted).toMap
+    val invS = invert(sigS)
+    val invT = if (selfJoin) invS else invert(sigT)
+    var processed = 0L
+    val counts = scala.collection.mutable.LongMap[Int]()
+    for ((key, ls) <- invS; lt <- invT.get(key)) {
+      processed += (if (selfJoin) ls.length.toLong * (ls.length - 1) / 2
+                    else ls.length.toLong * lt.length)
+      for (i <- ls.indices; j <- (if (selfJoin) i + 1 else 0) until lt.length) {
+        val code = ls(i).toLong << 32 | lt(j).toLong
+        counts(code) = counts.getOrElse(code, 0) + 1
+      }
+    }
+    val cands = counts.iterator.collect {
+      case (code, c) if c >= tau => ((code >> 32).toInt, code.toInt)
+    }.toVector.sorted
+    (processed, cands)
+  }
+
+  test("filterStage equals the string-keyed filter it replaced") {
+    val taus = Seq(1, 2, 3, 4, 6, 8)
+    def same(sigS: IndexedSeq[Set[String]], sigT: IndexedSeq[Set[String]], order: Map[String, Int],
+        selfJoin: Boolean, what: String): Unit = {
+      val rS = sigS.map(_.iterator.map(order).toArray.sorted)
+      val rT = if (selfJoin) rS else sigT.map(_.iterator.map(order).toArray.sorted)
+      for (tau <- taus)
+        assert(LocalJoin.filterStage(rS, rT, tau, selfJoin) ==
+          stringKeyedFilter(sigS, sigT, tau, selfJoin), s"$what τ=$tau selfJoin=$selfJoin")
+    }
+    for (kind <- Seq(TextGen.MedLite, TextGen.WikiLite); seed <- Seq(3L, 31L)) {
+      val ctx = TextGen.context(kind, seed)
+      val strings = TextGen.joinDataset(ctx, n = 100, seed = seed).strings
+      val order = LocalJoin.buildOrder(ctx.knowledge, strings, MeasureSet.TJS, 2)
+      val contexts = strings.map(s =>
+        new SignatureContext(Tokenizer.tokens(s), ctx.knowledge, MeasureSet.TJS, 2, order))
+      for (algo <- Seq(SigAlgo.AUHeuristic, SigAlgo.AUDp); sigTau <- taus) {
+        val lens = contexts.map(c => if (algo == SigAlgo.AUDp) c.auDp(0.75, sigTau)
+                                     else c.auHeuristic(0.75, sigTau))
+        // the keys the parent's signature held, and the ranks they carry now
+        val keys = contexts.zip(lens).map { case (c, len) => c.pebbles.take(len).map(_.key).toSet }
+        for (i <- contexts.indices)
+          assert(contexts(i).signature(lens(i)).toSeq == keys(i).toSeq.map(order).sorted)
+        val what = s"${kind.name} seed $seed $algo sigτ=$sigTau"
+        same(keys, keys, order, selfJoin = true, what)
+        same(keys.take(60), keys.drop(40), order, selfJoin = false, what)
+      }
+    }
+    // edge cases, ranked by one order over both sides
+    val a = Set("a", "b", "c")
+    val b = Set("b", "c", "d")
+    val cases = Seq[(String, IndexedSeq[Set[String]], IndexedSeq[Set[String]])](
+      ("empty", Vector.empty, Vector.empty),
+      ("empty left", Vector.empty, Vector(a, b)),
+      ("empty right", Vector(a, b), Vector.empty),
+      ("all-empty signatures", Vector.fill(4)(Set.empty[String]), Vector.fill(3)(Set.empty[String])),
+      ("one string", Vector(a), Vector(a)),
+      ("duplicates", Vector(a, a, b, a, b, Set.empty, a), Vector(b, a, a)),
+      ("ranks one side lacks", Vector(Set("x", "y", "a"), Set("z"), a), Vector(b, Set("b"), Set("w", "d"))))
+    for ((what, sigS, sigT) <- cases) {
+      val order = (sigS ++ sigT).flatten.distinct.sorted.zipWithIndex.toMap
+      same(sigS, sigS, order, selfJoin = true, what)
+      same(sigS, sigT, order, selfJoin = false, what)
+      same(sigT, sigS, order, selfJoin = false, what)
+    }
+  }
+
+  test("avgSignatureLen averages the non-empty side of a cross-join") {
+    val (_, st) = LocalJoin.join(k, Vector.empty, ds.strings.take(10), LocalJoin.Config(0.8))
+    assert(st.avgSignatureLen > 0)
+  }
+
   test("empty collections join to empty") {
     val cfg = LocalJoin.Config(0.8)
     val (res, st) = LocalJoin.join(k, Vector.empty, Vector.empty, cfg)

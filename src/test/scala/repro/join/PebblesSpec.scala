@@ -2,6 +2,7 @@ package repro.join
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.data.TextGen
 
 class PebblesSpec extends AnyFunSuite {
   val k: Knowledge = Knowledge.figure1
@@ -81,14 +82,33 @@ class PebblesSpec extends AnyFunSuite {
   }
 
   test("sorted applies the global order then key for ties") {
-    val insts = Vector(
-      PebbleInstance("z", 1, 0, 'J'),
-      PebbleInstance("a", 1, 0, 'J'),
-      PebbleInstance("m", 1, 0, 'J'))
-    val sortedByFreq = Pebbles.sorted(insts, Map("z" -> 0, "a" -> 1, "m" -> 2))
-    assert(sortedByFreq.map(_.key) == Vector("z", "a", "m"))
-    val alphabetical = Pebbles.sorted(insts, Map.empty)
-    assert(alphabetical.map(_.key) == Vector("a", "m", "z"))
+    // SignatureContext.pebbles is B: the order's ranks first, keys the
+    // order lacks after them, alphabetically
+    def keys(order: Map[String, Int]) =
+      new SignatureContext(Vector("coffee"), k, MeasureSet.J, Measures.DefaultQ, order)
+        .pebbles.map(_.key)
+    assert(keys(Map("g:ff" -> 0, "g:co" -> 1, "g:of" -> 2, "g:fe" -> 3, "g:ee" -> 4)) ==
+      Vector("g:ff", "g:co", "g:of", "g:fe", "g:ee"))
+    assert(keys(Map.empty) == Vector("g:co", "g:ee", "g:fe", "g:ff", "g:of"))
+    assert(keys(Map("g:of" -> 0)) == Vector("g:of", "g:co", "g:ee", "g:fe", "g:ff"))
+  }
+
+  test("context pebbles and ranks follow the (rank, key, segment, measure) sort") {
+    for (kind <- Seq(TextGen.MedLite, TextGen.WikiLite); seed <- Seq(3L, 31L)) {
+      val ctx = TextGen.context(kind, seed)
+      val kk = ctx.knowledge
+      val strings = TextGen.joinDataset(ctx, n = 60, seed = seed).strings
+      val order = LocalJoin.buildOrder(kk, strings, MeasureSet.TJS, 2)
+      for ((s, o) <- strings.map(_ -> order) ++ strings.take(10).map(_ -> Map.empty[String, Int])) {
+        val toks = Tokenizer.tokens(s)
+        val c = new SignatureContext(toks, kk, MeasureSet.TJS, 2, o)
+        val want = Pebbles.generate(kk, Segments.wellDefined(kk, toks), MeasureSet.TJS, 2)
+          .sortBy(p => (o.getOrElse(p.key, Int.MaxValue), p.key, p.segIdx, p.measure))
+        assert(c.pebbles == want, s"${kind.name} seed $seed: $s")
+        val missing = want.map(_.key).filterNot(o.contains).distinct.sorted.zipWithIndex.toMap
+        assert(c.ranks.toSeq == want.map(p => o.getOrElse(p.key, o.size + missing(p.key))), s)
+      }
+    }
   }
 
   test("measure restriction limits generated pebble types") {

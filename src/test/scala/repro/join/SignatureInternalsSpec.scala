@@ -155,6 +155,6 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
     val c1 = SignatureContext(gctx.knowledge, "alpha beta gamma")
     val c2 = SignatureContext(gctx.knowledge, "alpha beta gamma")
     assert(c1.pebbles == c2.pebbles)
-    assert(c1.select(SigAlgo.AUDp, 0.8, 3) == c2.select(SigAlgo.AUDp, 0.8, 3))
+    assert(c1.select(SigAlgo.AUDp, 0.8, 3).toSeq == c2.select(SigAlgo.AUDp, 0.8, 3).toSeq)
   }
 }

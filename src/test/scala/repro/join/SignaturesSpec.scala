@@ -14,6 +14,14 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
                   order: Map[String, Int] = Map.empty): SignatureContext =
     new SignatureContext(Tokenizer.tokens(s), k, m, Measures.DefaultQ, order)
 
+  /** An alphabetical order over the strings' TJS keys: each string's
+    * pebbles sort as with `Map.empty`, and their ranks are comparable.
+    */
+  private def alphabetical(k: Knowledge, strings: String*): Map[String, Int] =
+    strings.flatMap { s =>
+      Pebbles.generate(k, Segments.wellDefined(k, Tokenizer.tokens(s)), MeasureSet.TJS, 2).map(_.key)
+    }.distinct.sorted.zipWithIndex.toMap
+
   // ------------------------------------------------------------------ AS
 
   test("AS(n+1) = 0: removing nothing accumulates nothing") {
@@ -115,15 +123,16 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
   test("signature returns distinct keys of the prefix") {
     val c = ctx("espresso")
     val sig = c.signature(c.n)
-    assert(sig == c.pebbles.map(_.key).toSet)
-    assert(sig.size <= c.n) // 'es' duplicate collapses
+    assert(sig.toSeq == c.ranks.toSeq.distinct)
+    assert(sig.length == c.pebbles.map(_.key).distinct.length)
+    assert(sig.size < c.n) // 'es' duplicate collapses
   }
 
   test("select dispatches to the right algorithm") {
     val c = ctx(T)
-    assert(c.select(SigAlgo.UFilter, 0.8, 1) == c.signature(c.uFilter(0.8)))
-    assert(c.select(SigAlgo.AUHeuristic, 0.8, 3) == c.signature(c.auHeuristic(0.8, 3)))
-    assert(c.select(SigAlgo.AUDp, 0.8, 3) == c.signature(c.auDp(0.8, 3)))
+    assert(c.select(SigAlgo.UFilter, 0.8, 1).toSeq == c.signature(c.uFilter(0.8)).toSeq)
+    assert(c.select(SigAlgo.AUHeuristic, 0.8, 3).toSeq == c.signature(c.auHeuristic(0.8, 3)).toSeq)
+    assert(c.select(SigAlgo.AUDp, 0.8, 3).toSeq == c.signature(c.auDp(0.8, 3)).toSeq)
   }
 
   test("invalid τ rejected") {
@@ -142,8 +151,9 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
     for (p <- pairs) {
       val sim = Usim.approx(gctx.knowledge, p.s, p.t)
       if (sim >= theta) {
-        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
-        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
+        val order = alphabetical(gctx.knowledge, p.s, p.t)
+        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, order)
+        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, order)
         val shared = cs.select(SigAlgo.UFilter, theta, 1) intersect ct.select(SigAlgo.UFilter, theta, 1)
         assert(shared.nonEmpty, s"no overlap for similar pair: '${p.s}' / '${p.t}' sim=$sim")
         checked += 1
@@ -165,8 +175,9 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
     for (p <- pairs; tau <- Seq(2, 3); algo <- Seq(SigAlgo.AUHeuristic, SigAlgo.AUDp)) {
       val sim = Usim.approx(gctx.knowledge, p.s, p.t)
       if (sim >= theta) {
-        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
-        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
+        val order = alphabetical(gctx.knowledge, p.s, p.t)
+        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, order)
+        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, order)
         val fullShared = (cs.signature(cs.n) intersect ct.signature(ct.n)).size
         val shared = cs.select(algo, theta, tau) intersect ct.select(algo, theta, tau)
         assert(shared.size >= math.min(tau, fullShared),
