@@ -205,15 +205,6 @@ object Usim {
     best
   }
 
-  /** Exact unified similarity between two raw strings (small pairs only). */
-  def exact(
-      k: Knowledge,
-      s: String,
-      t: String,
-      measures: MeasureSet = MeasureSet.TJS,
-      q: Int = Measures.DefaultQ,
-  ): Double = exactOnGraph(graph(k, s, t, measures, q))
-
   // ------------------------------------------------------- explicit Eq (6)
 
   /** SIM(PS, PT) of Eq (6) for explicit partitions, via Hungarian. */

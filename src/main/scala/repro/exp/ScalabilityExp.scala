@@ -10,8 +10,9 @@ import repro.join._
   * into suggestion / filtering / verification, across dataset sizes.
   *
   * Filtering time = materialising the candidate DataFrame (persisted
-  * count); verification = evaluating the USIM UDF over the persisted
-  * candidates. Suggestion runs Algorithm 7 on the driver over the same
+  * count); verification = `SparkJoin.verify` (`LocalJoin.verifyStage`
+  * per partition) over the persisted candidates. Suggestion runs
+  * Algorithm 7 on the driver over the same
   * strings (its samples are ~ps·n strings — independent of join size,
   * which Table 10 confirms).
   */

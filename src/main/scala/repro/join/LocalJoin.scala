@@ -42,10 +42,11 @@ object LocalJoin {
       measures: MeasureSet,
       q: Int,
   ): Map[String, Int] =
-    Pebbles.frequencyOrder(strings.iterator.map { s =>
-      val toks = Tokenizer.tokens(s)
-      Pebbles.generate(k, Segments.wellDefined(k, toks), measures, q)
-    })
+    Pebbles.keyOrder(strings.iterator.map(Pebbles.keys(k, _, measures, q)))
+
+  /** One string's signature under `order` and `cfg`. */
+  def signature(k: Knowledge, s: String, order: Map[String, Int], cfg: Config): Array[Int] =
+    SignatureContext(k, s, cfg.measures, cfg.q, order).select(cfg.algo, cfg.theta, cfg.tau)
 
   def signatures(
       k: Knowledge,
@@ -53,10 +54,7 @@ object LocalJoin {
       order: Map[String, Int],
       cfg: Config,
   ): IndexedSeq[Array[Int]] =
-    strings.map { s =>
-      new SignatureContext(Tokenizer.tokens(s), k, cfg.measures, cfg.q, order)
-        .select(cfg.algo, cfg.theta, cfg.tau)
-    }
+    strings.map(signature(k, _, order, cfg))
 
   /** Filtering stage only (Lines 1-8 of Algorithm 6): returns
     * (T_τ processed pairs, candidate pair list sorted by (i, j)). Used

@@ -53,15 +53,17 @@ object Pebbles {
     out.result()
   }
 
-  /** Global frequency order over a collection: rank 0 = rarest. The
-    * paper sorts pebbles "by the ascending order of frequencies" so
-    * that signatures keep the rarest (most selective) pebbles.
+  /** A string's distinct pebble keys: what a global order counts once
+    * per string.
     */
-  def frequencyOrder(perString: Iterator[Iterable[PebbleInstance]]): Map[String, Int] =
-    keyOrder(perString.map(_.iterator.map(_.key)))
+  def keys(k: Knowledge, s: String, measures: MeasureSet, q: Int): Set[String] =
+    generate(k, Segments.wellDefined(k, Tokenizer.tokens(s)), measures, q).iterator.map(_.key).toSet
 
-  /** Global frequency order over per-string keys: each key counts once
-    * per string that contains it, then `rank` orders the counts.
+  /** Global frequency order over per-string keys, rank 0 = rarest: each
+    * key counts once per string that contains it, then `rank` orders the
+    * counts. The paper sorts pebbles "by the ascending order of
+    * frequencies" so that signatures keep the rarest (most selective)
+    * pebbles.
     */
   def keyOrder(perString: Iterator[IterableOnce[String]]): Map[String, Int] = {
     val freq = scala.collection.mutable.HashMap[String, Long]()

@@ -300,6 +300,8 @@ final class SignatureContext(
 }
 
 object SignatureContext {
+
+  /** The context of a raw string, as the joins and the τ estimator build it. */
   def apply(
       k: Knowledge,
       s: String,

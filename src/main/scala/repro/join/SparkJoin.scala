@@ -6,11 +6,10 @@ import repro.core._
 
 /** Distributed unified set join (Algorithms 3/6 as a Spark dataflow).
   *
-  * Pebble-signature generation and USIM verification run as DataFrame
-  * UDFs over broadcast knowledge; candidate generation is a shuffle
-  * join on exploded signature keys followed by a per-pair overlap
-  * count (signature keys are distinct per string, so `count(*)` is the
-  * distinct-pebble overlap the paper's Algorithm 6 counts).
+  * Spark runs the key-count aggregation, the shuffle join on exploded
+  * signature ranks with its per-pair overlap count, and the joins that
+  * attach strings to candidates. Per-string and per-pair work calls the
+  * code `LocalJoin` runs, over broadcast knowledge.
   *
   * Input frames carry columns (`id` LONG, `str` STRING).
   */
@@ -28,12 +27,7 @@ object SparkJoin {
       q: Int = Measures.DefaultQ,
   ): Map[String, Int] = {
     val bk = spark.sparkContext.broadcast(k)
-    val keysUdf = udf { (s: String) =>
-      val toks = Tokenizer.tokens(s)
-      Pebbles
-        .generate(bk.value, Segments.wellDefined(bk.value, toks), measures, q)
-        .iterator.map(_.key).toSet.toSeq
-    }
+    val keysUdf = udf((s: String) => Pebbles.keys(bk.value, s, measures, q).toSeq)
     Pebbles.rank(strings
       .select(explode(keysUdf(col("str"))).as("key"))
       .groupBy("key")
@@ -42,8 +36,8 @@ object SparkJoin {
       .map(r => (r.getString(0), r.getLong(1))))
   }
 
-  /** (`id`, `key`) exploded signatures of a collection; `key` is the
-    * pebble's integer rank in `order`.
+  /** (`id`, `key`) exploded signatures (`LocalJoin.signature`) of a
+    * collection; `key` is the pebble's integer rank in `order`.
     */
   def signatureKeys(
       spark: SparkSession,
@@ -54,11 +48,7 @@ object SparkJoin {
   ): DataFrame = {
     val bk = spark.sparkContext.broadcast(k)
     val bo = spark.sparkContext.broadcast(order)
-    val sigUdf = udf { (s: String) =>
-      new SignatureContext(Tokenizer.tokens(s), bk.value, cfg.measures, cfg.q, bo.value)
-        .select(cfg.algo, cfg.theta, cfg.tau)
-        .toSeq: Seq[Int]
-    }
+    val sigUdf = udf((s: String) => LocalJoin.signature(bk.value, s, bo.value, cfg).toSeq: Seq[Int])
     strings.select(col("id"), explode(sigUdf(col("str"))).as("key"))
   }
 
@@ -107,7 +97,10 @@ object SparkJoin {
     verify(spark, cands, left, right, k, cfg)
   }
 
-  /** Verification stage: attach strings and keep pairs with USIM ≥ θ. */
+  /** Verification stage: attach strings, then verify each partition's
+    * pairs with `LocalJoin.verifyStage`. Left and right ids get separate
+    * local indices, since a two-collection join's ids may overlap.
+    */
   def verify(
       spark: SparkSession,
       cands: DataFrame,
@@ -116,15 +109,22 @@ object SparkJoin {
       k: Knowledge,
       cfg: LocalJoin.Config,
   ): DataFrame = {
+    import spark.implicits._
     val bk = spark.sparkContext.broadcast(k)
-    val usimUdf = udf { (s: String, t: String) =>
-      Usim.approx(bk.value, s, t, cfg.measures, cfg.q, cfg.tParam)
-    }
     cands
       .join(left.select(col("id").as("sid"), col("str").as("s_str")), "sid")
       .join(right.select(col("id").as("tid"), col("str").as("t_str")), "tid")
-      .withColumn("sim", usimUdf(col("s_str"), col("t_str")))
-      .where(col("sim") >= LocalJoin.minSim(cfg.theta))
-      .select("sid", "tid", "sim")
+      .select("sid", "tid", "s_str", "t_str").as[(Long, Long, String, String)]
+      .mapPartitions { rows =>
+        val batch = rows.toVector
+        val ls = batch.map(r => (r._1, r._3)).distinctBy(_._1)
+        val rs = batch.map(r => (r._2, r._4)).distinctBy(_._1)
+        val li = ls.iterator.map(_._1).zipWithIndex.toMap
+        val ri = rs.iterator.map(_._1).zipWithIndex.toMap
+        LocalJoin.verifyStage(bk.value, ls.map(_._2), rs.map(_._2),
+          batch.iterator.map(r => (li(r._1), ri(r._2))), cfg, selfJoin = false)
+          .iterator.map { case (i, j, sim) => (ls(i)._1, rs(j)._1, sim) }
+      }
+      .toDF("sid", "tid", "sim")
   }
 }

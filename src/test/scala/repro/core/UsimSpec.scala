@@ -10,19 +10,28 @@ class UsimSpec extends AnyFunSuite with PropHelpers {
   val S = "coffee shop latte Helsingki"
   val T = "espresso cafe Helsinki"
 
+  /** Exact USIM between two raw strings (small pairs only). */
+  private def exact(
+      k: Knowledge,
+      s: String,
+      t: String,
+      measures: MeasureSet = MeasureSet.TJS,
+      q: Int = Measures.DefaultQ,
+  ): Double = Usim.exactOnGraph(Usim.graph(k, s, t, measures, q))
+
   test("Figure 1 headline: USIM = (1 + 0.8 + 0.875)/3 = 0.892 with q=1") {
-    val sim = Usim.exact(k, S, T, MeasureSet.TJS, q = 1)
+    val sim = exact(k, S, T, MeasureSet.TJS, q = 1)
     assert(math.abs(sim - (1.0 + 0.8 + 0.875) / 3) < 1e-9)
   }
 
   test("Figure 1 with q=2 (Example 2 gram counting): (1 + 0.8 + 2/3)/3") {
-    val sim = Usim.exact(k, S, T, MeasureSet.TJS, q = 2)
+    val sim = exact(k, S, T, MeasureSet.TJS, q = 2)
     assert(math.abs(sim - (1.0 + 0.8 + 2.0 / 3) / 3) < 1e-9)
   }
 
   test("approximation matches exact on the Figure 1 pair") {
     val a = Usim.approx(k, S, T, MeasureSet.TJS, q = 1)
-    val e = Usim.exact(k, S, T, MeasureSet.TJS, q = 1)
+    val e = exact(k, S, T, MeasureSet.TJS, q = 1)
     assert(math.abs(a - e) < 1e-9)
   }
 
@@ -48,7 +57,7 @@ class UsimSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("Example 5: exact on Figure 2 is also 0.13") {
-    val sim = Usim.exact(Figure2.k, Figure2.s, Figure2.t, MeasureSet.S)
+    val sim = exact(Figure2.k, Figure2.s, Figure2.t, MeasureSet.S)
     assert(math.abs(sim - 0.13) < 1e-9)
   }
 
@@ -57,17 +66,17 @@ class UsimSpec extends AnyFunSuite with PropHelpers {
       Rule(Vector("m1", "p1"), Vector("n1"), 1.0),
       Rule(Vector("m2", "p1"), Vector("n2"), 1.0))
     val kb = new Knowledge(rules, Knowledge.empty.taxonomy)
-    val sim = Usim.exact(kb, "m1 m2 p1", "n1 n2 q1", MeasureSet.S)
+    val sim = exact(kb, "m1 m2 p1", "n1 n2 q1", MeasureSet.S)
     assert(math.abs(sim - 1.0 / 3) < 1e-9)
   }
 
   test("identical strings have USIM 1") {
-    assert(Usim.exact(k, "coffee shop", "coffee shop") == 1.0)
+    assert(exact(k, "coffee shop", "coffee shop") == 1.0)
     assert(Usim.approx(k, "latte cake", "latte cake") == 1.0)
   }
 
   test("disjoint unrelated strings have USIM 0") {
-    assert(Usim.exact(Knowledge.empty, "aa bb", "zz yy") == 0.0)
+    assert(exact(Knowledge.empty, "aa bb", "zz yy") == 0.0)
   }
 
   test("empty vs anything is 0") {
@@ -79,7 +88,7 @@ class UsimSpec extends AnyFunSuite with PropHelpers {
     val pairs = Seq(
       (S, T), ("cake", "gateau"), ("apple cake latte", "cake espresso"))
     for ((a, b) <- pairs)
-      assert(math.abs(Usim.exact(k, a, b, q = 1) - Usim.exact(k, b, a, q = 1)) < 1e-9)
+      assert(math.abs(exact(k, a, b, q = 1) - exact(k, b, a, q = 1)) < 1e-9)
   }
 
   test("exact refuses oversized graphs (with multi-token vertices)") {
@@ -92,22 +101,22 @@ class UsimSpec extends AnyFunSuite with PropHelpers {
       yield Rule(sT.slice(i, i + 2), tT.slice(j, j + 2), 0.5)).toVector
     val kb = new Knowledge(rules, Knowledge.empty.taxonomy)
     intercept[IllegalArgumentException](
-      Usim.exact(kb, sT.mkString(" "), tT.mkString(" "), MeasureSet.S))
+      exact(kb, sT.mkString(" "), tT.mkString(" "), MeasureSet.S))
   }
 
   test("oversized all-singles graphs are solved exactly by the assignment fast path") {
     val words = (1 to 10).map(i => s"wo${i}rd").mkString(" ")
-    assert(math.abs(Usim.exact(Knowledge.empty, words, words) - 1.0) < 1e-9)
+    assert(math.abs(exact(Knowledge.empty, words, words) - 1.0) < 1e-9)
   }
 
   test("measure subsets never beat the full TJS measure (exact)") {
     for (m <- MeasureSet.all)
-      assert(Usim.exact(k, S, T, m, q = 1) <= Usim.exact(k, S, T, MeasureSet.TJS, q = 1) + 1e-9)
+      assert(exact(k, S, T, m, q = 1) <= exact(k, S, T, MeasureSet.TJS, q = 1) + 1e-9)
   }
 
   test("msim special case: single-segment strings reduce to msim") {
     // "cake" vs "apple cake": best partition keeps T as the entity
-    val sim = Usim.exact(k, "cake", "apple cake")
+    val sim = exact(k, "cake", "apple cake")
     assert(math.abs(sim - 0.75) < 1e-9)
   }
 

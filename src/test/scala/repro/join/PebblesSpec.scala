@@ -62,21 +62,15 @@ class PebblesSpec extends AnyFunSuite {
     assert((latte intersect espresso).size == 4) // coffee drinks, coffee, food, root
   }
 
-  test("frequencyOrder ranks rare keys first") {
-    val lists = Seq(
-      Vector(PebbleInstance("a", 1, 0, 'J'), PebbleInstance("b", 1, 0, 'J')),
-      Vector(PebbleInstance("b", 1, 0, 'J')),
-      Vector(PebbleInstance("b", 1, 0, 'J'), PebbleInstance("c", 1, 0, 'J')))
-    val ord = Pebbles.frequencyOrder(lists.iterator.map(x => x: Iterable[PebbleInstance]))
+  test("keyOrder ranks rare keys first") {
+    val ord = Pebbles.keyOrder(Iterator(Seq("a", "b"), Seq("b"), Seq("b", "c")))
     assert(ord("b") == 2) // most frequent last
     assert(Set(ord("a"), ord("c")) == Set(0, 1))
   }
 
-  test("frequencyOrder counts a key once per string") {
-    val lists = Seq(
-      Vector(PebbleInstance("a", 1, 0, 'J'), PebbleInstance("a", 1, 1, 'J')),
-      Vector(PebbleInstance("b", 1, 0, 'J')))
-    val ord = Pebbles.frequencyOrder(lists.iterator.map(x => x: Iterable[PebbleInstance]))
+  test("keyOrder counts a key once per string") {
+    // "a" twice in one string, as two segments' pebbles can share a key
+    val ord = Pebbles.keyOrder(Iterator(Seq("a", "a"), Seq("b")))
     assert(ord.size == 2) // both frequency 1; order by key
     assert(ord("a") == 0 && ord("b") == 1)
   }

@@ -139,12 +139,7 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
     // the filler's gram pebbles sort late and are dropped first.
     val strings = Vector.fill(8)("zzfiller unique" + scala.util.Random.nextInt()) :+
       "zzfiller rareword"
-    val insts = strings.map { s =>
-      val toks = Tokenizer.tokens(s)
-      Pebbles.generate(gctx.knowledge, Segments.wellDefined(gctx.knowledge, toks),
-        MeasureSet.J, 2)
-    }
-    val order = Pebbles.frequencyOrder(insts.iterator.map(x => x: Iterable[PebbleInstance]))
+    val order = LocalJoin.buildOrder(gctx.knowledge, strings, MeasureSet.J, 2)
     // grams of "zzfiller" occur in all 9 strings — they must rank last
     val fillerRank = order("g:zz")
     val rareRank = order("g:ra")

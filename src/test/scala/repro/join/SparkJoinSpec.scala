@@ -114,6 +114,31 @@ class SparkJoinSpec extends SparkSpec {
     assert(sims.forall(_ >= cfg.theta - 1e-9))
   }
 
+  test("verify returns LocalJoin.verifyStage's triples, sims bit for bit") {
+    def bits(sid: Long, tid: Long, sim: Double) = (sid, tid, java.lang.Double.doubleToLongBits(sim))
+    def check(kk: Knowledge, left: IndexedSeq[String], right: IndexedSeq[String],
+        selfJoin: Boolean, partitions: Int): Unit = {
+      val cfg = LocalJoin.Config(0.6, 1, SigAlgo.UFilter)
+      val order = LocalJoin.buildOrder(kk, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
+      val (l, r) = (toDF(left), toDF(right)) // ids from 0 on both sides
+      val cands = SparkJoin.candidates(spark, l, r, kk, order, cfg, selfJoin).repartition(partitions)
+      val pairs = cands.select("sid", "tid").collect()
+        .map(row => (row.getLong(0).toInt, row.getLong(1).toInt)).sorted
+      val want = LocalJoin.verifyStage(kk, left, right, pairs.iterator, cfg, selfJoin)
+        .map { case (i, j, sim) => bits(i, j, sim) }.toSet
+      val got = SparkJoin.verify(spark, cands, l, r, kk, cfg).collect()
+        .map(row => bits(row.getAs[Long]("sid"), row.getAs[Long]("tid"), row.getAs[Double]("sim")))
+      assert(want.nonEmpty)
+      assert(got.length == want.size && got.toSet == want)
+    }
+    check(k, ds.strings, ds.strings, selfJoin = true, partitions = 4)
+    // the sides share strings, so the join has results, at different ids
+    check(k, ds.strings.take(90), ds.strings.drop(60), selfJoin = false, partitions = 1)
+    val wiki = TextGen.context(TextGen.WikiLite)
+    val wds = TextGen.joinDataset(wiki, n = 120, seed = 41L).strings
+    check(wiki.knowledge, wds.take(70), wds.drop(50), selfJoin = false, partitions = 3)
+  }
+
   test("planted pairs that verify above θ are found by the Spark join") {
     val cfg = LocalJoin.Config(0.7, 1, SigAlgo.UFilter)
     val got = collectPairs(SparkJoin.join(spark, toDF(ds.strings), toDF(ds.strings), k, cfg,
