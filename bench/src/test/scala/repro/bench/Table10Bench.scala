@@ -41,8 +41,10 @@ class Table10Bench extends AnyFunSuite with BeforeAndAfterAll {
 
   test("Figure 7 companion: AU-Filter variants scale better than U-Filter") {
     ScalabilityExp.algoScaling(TextGen.MedLite, Seq(200), theta = 0.85) // warmup
-    val rows = ScalabilityExp.algoScaling(TextGen.MedLite, Seq(300, 600), theta = 0.85)
-    println("== Figure 7 (companion, local engine) ==")
+    // one wall-time sample per size is noise-bound: take the median of three runs
+    val runs = Seq.fill(3)(ScalabilityExp.algoScaling(TextGen.MedLite, Seq(300, 600), theta = 0.85))
+    val rows = runs.transpose.map(rs => rs.head.copy(wallMs = rs.map(_.wallMs).sorted.apply(1)))
+    println("== Figure 7 (companion, local engine, median of 3 runs) ==")
     println(ScalabilityExp.formatAlgoScaling(rows))
     def wall(algo: String, n: Int): Double =
       rows.find(r => r.algo == algo && r.size == n).get.wallMs

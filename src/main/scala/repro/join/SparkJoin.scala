@@ -1,22 +1,23 @@
 package repro.join
 
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Distributed unified set join (Algorithms 3/6 as a Spark dataflow).
   *
-  * Spark runs the key-count aggregation, the shuffle join on exploded
-  * signature ranks with its per-pair overlap count, and the joins that
-  * attach strings to candidates. Per-string and per-pair work calls the
-  * code `LocalJoin` runs, over broadcast knowledge.
-  *
-  * Input frames carry columns (`id` LONG, `str` STRING).
+  * DataFrames in and out, RDD steps inside: no query plan is built per
+  * request, every shuffle takes its parent's partition count, and the
+  * candidate steps shuffle primitive records only. Per-string and per-pair
+  * work calls the code `LocalJoin` runs, over broadcast knowledge; `join`
+  * broadcasts the knowledge and the order once each. Input frames carry
+  * columns (`id` LONG, `str` STRING).
   */
 object SparkJoin {
 
   /** Global frequency order: the number of strings containing each
-    * pebble key is counted with a Spark aggregation, then ranked by
+    * pebble key is counted with a `reduceByKey`, then ranked by
     * `Pebbles.rank` exactly as `LocalJoin.buildOrder` ranks it.
     */
   def computeOrder(
@@ -25,37 +26,35 @@ object SparkJoin {
       k: Knowledge,
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
-  ): Map[String, Int] = {
-    val bk = spark.sparkContext.broadcast(k)
-    val keysUdf = udf((s: String) => Pebbles.keys(bk.value, s, measures, q).toSeq)
-    Pebbles.rank(strings
-      .select(explode(keysUdf(col("str"))).as("key"))
-      .groupBy("key")
-      .agg(count(lit(1)).as("freq"))
-      .collect()
-      .map(r => (r.getString(0), r.getLong(1))))
-  }
+  ): Map[String, Int] =
+    keyOrder(strings.select("str").rdd.map(_.getString(0)), spark.sparkContext.broadcast(k), measures, q)
 
-  /** (`id`, `key`) exploded signatures (`LocalJoin.signature`) of a
-    * collection; `key` is the pebble's integer rank in `order`.
-    */
+  private def keyOrder(strings: RDD[String], bk: Broadcast[Knowledge], measures: MeasureSet, q: Int) =
+    Pebbles.rank(strings.flatMap(Pebbles.keys(bk.value, _, measures, q))
+      .map((_, 1L)).reduceByKey(_ + _).collect())
+
+  private def idStrings(strings: DataFrame): RDD[(Long, String)] =
+    strings.select("id", "str").rdd.map(r => (r.getLong(0), r.getString(1)))
+
+  /** (`rank`, `id`) for each key of each string's signature. */
+  private def signatures(strings: RDD[(Long, String)], bk: Broadcast[Knowledge],
+      bo: Broadcast[Map[String, Int]], cfg: LocalJoin.Config): RDD[(Int, Long)] =
+    strings.flatMap { case (id, s) => LocalJoin.signature(bk.value, s, bo.value, cfg).iterator.map((_, id)) }
+
+  /** (`id`, `key`): each string's signature keys, ranks in `order`. */
   def signatureKeys(
       spark: SparkSession,
       strings: DataFrame,
       k: Knowledge,
       order: Map[String, Int],
       cfg: LocalJoin.Config,
-  ): DataFrame = {
-    val bk = spark.sparkContext.broadcast(k)
-    val bo = spark.sparkContext.broadcast(order)
-    val sigUdf = udf((s: String) => LocalJoin.signature(bk.value, s, bo.value, cfg).toSeq: Seq[Int])
-    strings.select(col("id"), explode(sigUdf(col("str"))).as("key"))
-  }
+  ): DataFrame = spark.createDataFrame(signatures(idStrings(strings), spark.sparkContext.broadcast(k),
+    spark.sparkContext.broadcast(order), cfg).map(_.swap)).toDF("id", "key")
 
   /** Candidate pairs (`sid`, `tid`, `overlap`) sharing ≥ τ signature
     * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3). A
-    * signature is a set of keys, so each shared key joins a pair once and
-    * `count` is the number of shared keys.
+    * signature is a set of keys, so each shared key pairs two strings
+    * once: a `tid`'s run in `sid`'s sorted partners is their overlap.
     */
   def candidates(
       spark: SparkSession,
@@ -65,18 +64,29 @@ object SparkJoin {
       order: Map[String, Int],
       cfg: LocalJoin.Config,
       selfJoin: Boolean = false,
-  ): DataFrame = {
-    val sigL = signatureKeys(spark, left, k, order, cfg)
-      .withColumnRenamed("id", "sid")
-    val sigR =
-      (if (selfJoin) sigL else signatureKeys(spark, right, k, order, cfg))
-        .withColumnRenamed(if (selfJoin) "sid" else "id", "tid")
-    val joined = sigL.join(sigR, "key")
-    val paired = if (selfJoin) joined.where(col("sid") < col("tid")) else joined
-    paired
-      .groupBy("sid", "tid")
-      .agg(count(lit(1)).as("overlap"))
-      .where(col("overlap") >= cfg.tau)
+  ): DataFrame = spark.createDataFrame(overlaps(idStrings(left), idStrings(right),
+    spark.sparkContext.broadcast(k), spark.sparkContext.broadcast(order), cfg, selfJoin)
+    .map { case (s, (t, n)) => (s, t, n) }).toDF("sid", "tid", "overlap")
+
+  private def overlaps(left: RDD[(Long, String)], right: => RDD[(Long, String)],
+      bk: Broadcast[Knowledge], bo: Broadcast[Map[String, Int]], cfg: LocalJoin.Config,
+      selfJoin: Boolean): RDD[(Long, (Long, Long))] = {
+    val sigL = signatures(left, bk, bo, cfg)
+    val pairs = if (!selfJoin) sigL.join(signatures(right, bk, bo, cfg)).values
+      else sigL.groupByKey().values.map(_.toArray.sorted).flatMap(ids =>
+        for (x <- ids.indices.iterator; y <- Iterator.range(x + 1, ids.length)) yield (ids(x), ids(y)))
+    pairs.groupByKey().flatMapValues { group =>
+      val tids = group.toArray.sorted
+      val out = Vector.newBuilder[(Long, Long)]
+      var from = 0
+      while (from < tids.length) {
+        var to = from + 1
+        while (to < tids.length && tids(to) == tids(from)) to += 1
+        if (to - from >= cfg.tau) out += ((tids(from), (to - from).toLong))
+        from = to
+      }
+      out.result()
+    }
   }
 
   /** Full join: (`sid`, `tid`, `sim`) with USIM(S,T) ≥ θ (Algorithm 6). */
@@ -89,12 +99,13 @@ object SparkJoin {
       selfJoin: Boolean = false,
       precomputedOrder: Option[Map[String, Int]] = None,
   ): DataFrame = {
-    val order = precomputedOrder.getOrElse {
-      val corpus = if (selfJoin) left else left.unionByName(right)
-      computeOrder(spark, corpus, k, cfg.measures, cfg.q)
-    }
-    val cands = candidates(spark, left, right, k, order, cfg, selfJoin)
-    verify(spark, cands, left, right, k, cfg)
+    val bk = spark.sparkContext.broadcast(k)
+    val l = idStrings(left)
+    val r = if (selfJoin) l else idStrings(right)
+    val order = precomputedOrder.getOrElse(
+      keyOrder((if (selfJoin) l else l ++ r).values, bk, cfg.measures, cfg.q))
+    val cands = overlaps(l, r, bk, spark.sparkContext.broadcast(order), cfg, selfJoin)
+    verified(spark, cands.mapValues(_._1), l, r, bk, cfg)
   }
 
   /** Verification stage: attach strings, then verify each partition's
@@ -108,13 +119,16 @@ object SparkJoin {
       right: DataFrame,
       k: Knowledge,
       cfg: LocalJoin.Config,
-  ): DataFrame = {
+  ): DataFrame = verified(spark, cands.select("sid", "tid").rdd.map(r => (r.getLong(0), r.getLong(1))),
+    idStrings(left), idStrings(right), spark.sparkContext.broadcast(k), cfg)
+
+  private def verified(spark: SparkSession, pairs: RDD[(Long, Long)], left: RDD[(Long, String)],
+      right: RDD[(Long, String)], bk: Broadcast[Knowledge], cfg: LocalJoin.Config): DataFrame = {
     import spark.implicits._
-    val bk = spark.sparkContext.broadcast(k)
-    cands
-      .join(left.select(col("id").as("sid"), col("str").as("s_str")), "sid")
-      .join(right.select(col("id").as("tid"), col("str").as("t_str")), "tid")
-      .select("sid", "tid", "s_str", "t_str").as[(Long, Long, String, String)]
+    pairs.join(left)
+      .map { case (sid, (tid, s)) => (tid, (sid, s)) }
+      .join(right)
+      .map { case (tid, ((sid, s), t)) => (sid, tid, s, t) }
       .mapPartitions { rows =>
         val batch = rows.toVector
         val ls = batch.map(r => (r._1, r._3)).distinctBy(_._1)

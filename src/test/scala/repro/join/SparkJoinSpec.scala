@@ -49,14 +49,16 @@ class SparkJoinSpec extends SparkSpec {
   }
 
   test("Spark two-collection join equals local join") {
-    val left = ds.strings.take(70)
-    val right = ds.strings.drop(70)
+    // the sides share strings, so the join has results, at different ids
+    val left = ds.strings.take(90)
+    val right = ds.strings.drop(60)
     val cfg = LocalJoin.Config(0.75, 1, SigAlgo.UFilter)
     val order = LocalJoin.buildOrder(k, ds.strings, cfg.measures, cfg.q)
     val got = collectPairs(SparkJoin.join(spark, toDF(left), toDF(right), k, cfg,
       precomputedOrder = Some(order)))
     val want = LocalJoin.join(k, left, right, cfg, precomputedOrder = Some(order))
       ._1.map(r => (r._1, r._2)).toSet
+    assert(want.nonEmpty)
     assert(got == want)
   }
 
