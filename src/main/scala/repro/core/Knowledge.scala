@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** A synonym rule lhs → rhs with closeness C(R) ∈ (0, 1] (paper Eq 2). */
 final case class Rule(lhs: Vector[String], rhs: Vector[String], c: Double) extends Serializable {
   require(lhs.nonEmpty && rhs.nonEmpty, "rule sides must be non-empty")
@@ -33,8 +35,8 @@ object MeasureSet {
 
 /** The knowledge base backing semantic similarity: a synonym rule set
   * plus a taxonomy tree, with the indexes used by segment enumeration
-  * and pebble generation. Immutable and serialisable so it can be
-  * broadcast to Spark executors.
+  * and pebble generation. Immutable and serialisable; Spark broadcasts it
+  * to executors as [[Knowledge.Packed]].
   */
 final class Knowledge(
     val rules: IndexedSeq[Rule],
@@ -89,4 +91,64 @@ object Knowledge {
   /** A knowledge base with no rules and a root-only taxonomy (syntactic-only joins). */
   def empty: Knowledge =
     new Knowledge(Vector.empty, new Taxonomy(Array(0), Vector(Vector("⊥root⊥"))))
+
+  /** A knowledge base as a few flat arrays, the form Spark broadcasts:
+    * Java serialisation and Spark's size estimate walk a handful of
+    * arrays instead of every node name, rule and index of the object
+    * graph. Tokens are ids into one token table; node names are spans
+    * of `nameTokens` from `nameFrom(n)` to `nameFrom(n + 1)`, and rules
+    * spans of `ruleTokens` (lhs then rhs) with the lhs `lhsLength(r)`
+    * long.
+    */
+  final class Packed private (
+      tokens: Array[String],
+      parent: Array[Int],
+      nameFrom: Array[Int],
+      nameTokens: Array[Int],
+      ruleFrom: Array[Int],
+      ruleTokens: Array[Int],
+      lhsLength: Array[Int],
+      closeness: Array[Double],
+  ) extends Serializable {
+
+    /** The knowledge, rebuilt with its constructors in the original
+      * order on first use in each JVM, so every index (`byName`'s first
+      * definition wins, `byLhs`, `byRhs`, `depth`) comes out identical.
+      */
+    @transient lazy val knowledge: Knowledge = {
+      def span(ids: Array[Int], from: Int, until: Int): Vector[String] =
+        Vector.tabulate(until - from)(i => tokens(ids(from + i)))
+      val names = Vector.tabulate(parent.length)(n => span(nameTokens, nameFrom(n), nameFrom(n + 1)))
+      val rules = Vector.tabulate(closeness.length) { r =>
+        val mid = ruleFrom(r) + lhsLength(r)
+        Rule(span(ruleTokens, ruleFrom(r), mid), span(ruleTokens, mid, ruleFrom(r + 1)), closeness(r))
+      }
+      new Knowledge(rules, new Taxonomy(parent, names))
+    }
+  }
+
+  object Packed {
+
+    /** Packs `k`; costs a pass over its names and rules, so it is done
+      * per broadcast, never when a [[Knowledge]] is built.
+      */
+    def apply(k: Knowledge): Packed = {
+      val ids = mutable.HashMap.empty[String, Int]
+      val tokens = mutable.ArrayBuffer.empty[String]
+      def flatten(spans: IndexedSeq[Seq[String]]): (Array[Int], Array[Int]) = {
+        val from = new Array[Int](spans.length + 1)
+        val flat = mutable.ArrayBuilder.make[Int]
+        for ((s, i) <- spans.iterator.zipWithIndex) {
+          for (t <- s) flat += ids.getOrElseUpdate(t, { tokens += t; tokens.length - 1 })
+          from(i + 1) = from(i) + s.length
+        }
+        (from, flat.result())
+      }
+      val tax = k.taxonomy
+      val (nameFrom, nameTokens) = flatten(tax.names)
+      val (ruleFrom, ruleTokens) = flatten(k.rules.map(r => r.lhs ++ r.rhs))
+      new Packed(tokens.toArray, tax.parent, nameFrom, nameTokens, ruleFrom, ruleTokens,
+        k.rules.iterator.map(_.lhs.length).toArray, k.rules.iterator.map(_.c).toArray)
+    }
+  }
 }

@@ -10,11 +10,18 @@ import repro.core._
   * DataFrames in and out, RDD steps inside: no query plan is built per
   * request, every shuffle takes its parent's partition count, and the
   * candidate steps shuffle primitive records only. Per-string and per-pair
-  * work calls the code `LocalJoin` runs, over broadcast knowledge; `join`
-  * broadcasts the knowledge and the order once each. Input frames carry
-  * columns (`id` LONG, `str` STRING).
+  * work calls the code `LocalJoin` runs, over the knowledge broadcast in
+  * its packed form (`Knowledge.Packed`); `join` broadcasts the knowledge
+  * and the order once each. Input frames carry columns (`id` LONG,
+  * `str` STRING).
   */
 object SparkJoin {
+
+  /** Every knowledge broadcast: tasks read `bk.value.knowledge`, rebuilt
+    * once per broadcast in each JVM.
+    */
+  private def broadcast(spark: SparkSession, k: Knowledge): Broadcast[Knowledge.Packed] =
+    spark.sparkContext.broadcast(Knowledge.Packed(k))
 
   /** Global frequency order: the number of strings containing each
     * pebble key is counted with a `reduceByKey`, then ranked by
@@ -27,29 +34,22 @@ object SparkJoin {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): Map[String, Int] =
-    keyOrder(strings.select("str").rdd.map(_.getString(0)), spark.sparkContext.broadcast(k), measures, q)
+    keyOrder(strings.select("str").rdd.map(_.getString(0)), broadcast(spark, k), measures, q)
 
-  private def keyOrder(strings: RDD[String], bk: Broadcast[Knowledge], measures: MeasureSet, q: Int) =
-    Pebbles.rank(strings.flatMap(Pebbles.keys(bk.value, _, measures, q))
+  private def keyOrder(strings: RDD[String], bk: Broadcast[Knowledge.Packed], measures: MeasureSet,
+      q: Int) =
+    Pebbles.rank(strings.flatMap(Pebbles.keys(bk.value.knowledge, _, measures, q))
       .map((_, 1L)).reduceByKey(_ + _).collect())
 
   private def idStrings(strings: DataFrame): RDD[(Long, String)] =
     strings.select("id", "str").rdd.map(r => (r.getLong(0), r.getString(1)))
 
   /** (`rank`, `id`) for each key of each string's signature. */
-  private def signatures(strings: RDD[(Long, String)], bk: Broadcast[Knowledge],
+  private def signatures(strings: RDD[(Long, String)], bk: Broadcast[Knowledge.Packed],
       bo: Broadcast[Map[String, Int]], cfg: LocalJoin.Config): RDD[(Int, Long)] =
-    strings.flatMap { case (id, s) => LocalJoin.signature(bk.value, s, bo.value, cfg).iterator.map((_, id)) }
-
-  /** (`id`, `key`): each string's signature keys, ranks in `order`. */
-  def signatureKeys(
-      spark: SparkSession,
-      strings: DataFrame,
-      k: Knowledge,
-      order: Map[String, Int],
-      cfg: LocalJoin.Config,
-  ): DataFrame = spark.createDataFrame(signatures(idStrings(strings), spark.sparkContext.broadcast(k),
-    spark.sparkContext.broadcast(order), cfg).map(_.swap)).toDF("id", "key")
+    strings.flatMap { case (id, s) =>
+      LocalJoin.signature(bk.value.knowledge, s, bo.value, cfg).iterator.map((_, id))
+    }
 
   /** Candidate pairs (`sid`, `tid`, `overlap`) sharing ≥ τ signature
     * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3). A
@@ -65,11 +65,11 @@ object SparkJoin {
       cfg: LocalJoin.Config,
       selfJoin: Boolean = false,
   ): DataFrame = spark.createDataFrame(overlaps(idStrings(left), idStrings(right),
-    spark.sparkContext.broadcast(k), spark.sparkContext.broadcast(order), cfg, selfJoin)
+    broadcast(spark, k), spark.sparkContext.broadcast(order), cfg, selfJoin)
     .map { case (s, (t, n)) => (s, t, n) }).toDF("sid", "tid", "overlap")
 
   private def overlaps(left: RDD[(Long, String)], right: => RDD[(Long, String)],
-      bk: Broadcast[Knowledge], bo: Broadcast[Map[String, Int]], cfg: LocalJoin.Config,
+      bk: Broadcast[Knowledge.Packed], bo: Broadcast[Map[String, Int]], cfg: LocalJoin.Config,
       selfJoin: Boolean): RDD[(Long, (Long, Long))] = {
     val sigL = signatures(left, bk, bo, cfg)
     val pairs = if (!selfJoin) sigL.join(signatures(right, bk, bo, cfg)).values
@@ -99,7 +99,7 @@ object SparkJoin {
       selfJoin: Boolean = false,
       precomputedOrder: Option[Map[String, Int]] = None,
   ): DataFrame = {
-    val bk = spark.sparkContext.broadcast(k)
+    val bk = broadcast(spark, k)
     val l = idStrings(left)
     val r = if (selfJoin) l else idStrings(right)
     val order = precomputedOrder.getOrElse(
@@ -120,10 +120,10 @@ object SparkJoin {
       k: Knowledge,
       cfg: LocalJoin.Config,
   ): DataFrame = verified(spark, cands.select("sid", "tid").rdd.map(r => (r.getLong(0), r.getLong(1))),
-    idStrings(left), idStrings(right), spark.sparkContext.broadcast(k), cfg)
+    idStrings(left), idStrings(right), broadcast(spark, k), cfg)
 
   private def verified(spark: SparkSession, pairs: RDD[(Long, Long)], left: RDD[(Long, String)],
-      right: RDD[(Long, String)], bk: Broadcast[Knowledge], cfg: LocalJoin.Config): DataFrame = {
+      right: RDD[(Long, String)], bk: Broadcast[Knowledge.Packed], cfg: LocalJoin.Config): DataFrame = {
     import spark.implicits._
     pairs.join(left)
       .map { case (sid, (tid, s)) => (tid, (sid, s)) }
@@ -135,7 +135,7 @@ object SparkJoin {
         val rs = batch.map(r => (r._2, r._4)).distinctBy(_._1)
         val li = ls.iterator.map(_._1).zipWithIndex.toMap
         val ri = rs.iterator.map(_._1).zipWithIndex.toMap
-        LocalJoin.verifyStage(bk.value, ls.map(_._2), rs.map(_._2),
+        LocalJoin.verifyStage(bk.value.knowledge, ls.map(_._2), rs.map(_._2),
           batch.iterator.map(r => (li(r._1), ri(r._2))), cfg, selfJoin = false)
           .iterator.map { case (i, j, sim) => (ls(i)._1, rs(j)._1, sim) }
       }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.TextGen
 
 class KnowledgeSpec extends AnyFunSuite {
 
@@ -71,4 +72,56 @@ class KnowledgeSpec extends AnyFunSuite {
     assert(k2.byLhs == k.byLhs)
     assert(Measures.taxonomy(k2, Vector("latte"), Vector("espresso")) == 0.8)
   }
+
+  private def javaRoundTrip[A](a: A): A = {
+    val bos = new java.io.ByteArrayOutputStream()
+    new java.io.ObjectOutputStream(bos).writeObject(a)
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[A]
+  }
+
+  private def assertRebuilt(want: Knowledge, got: Knowledge): Unit = {
+    assert(got ne want)
+    assert(got.rules.length == want.rules.length)
+    for ((a, b) <- want.rules.zip(got.rules)) {
+      assert(a.lhs == b.lhs && a.rhs == b.rhs)
+      assert(java.lang.Double.doubleToLongBits(a.c) == java.lang.Double.doubleToLongBits(b.c))
+    }
+    val (wt, gt) = (want.taxonomy, got.taxonomy)
+    assert(gt.parent.toSeq == wt.parent.toSeq)
+    assert(gt.names == wt.names)
+    assert(gt.depth.toSeq == wt.depth.toSeq)
+    for (n <- wt.names) assert(gt.node(n) == wt.node(n))
+    assert(got.byLhs == want.byLhs)
+    assert(got.byRhs == want.byRhs)
+    assert(got.maxRuleTokens == want.maxRuleTokens)
+    assert(got.maxSegmentTokens == want.maxSegmentTokens)
+  }
+
+  private val packCases: Seq[(String, () => Knowledge)] = Seq(
+    "Figure 1" -> (() => Knowledge.figure1),
+    "empty" -> (() => Knowledge.empty),
+    "MED-lite" -> (() => TextGen.context(TextGen.MedLite).knowledge),
+    "WIKI-lite" -> (() => TextGen.context(TextGen.WikiLite).knowledge),
+    "conflict instance" -> (() => TextGen.conflictInstance(4, 7L)._1),
+    "hand-made" -> { () =>
+      // "kaffee" is defined twice (the first id wins), "café" is not
+      // ASCII, and two names have an empty token or no token at all
+      val tax = new Taxonomy(Array(0, 0, 1, 1, 0, 2, 0),
+        Vector(Vector("root"), Vector("kaffee"), Vector("café", "crème"), Vector("kaffee"),
+          Vector(""), Vector("café"), Vector.empty))
+      val rules = Vector(
+        Rule(Vector("café"), Vector("kaffee"), 0.7),
+        Rule(Vector("café"), Vector("coffee", "shop", "café"), 1.0),
+        Rule(Vector("crème"), Vector("café"), 0.1 + 0.2))
+      new Knowledge(rules, tax)
+    },
+  )
+
+  for ((name, make) <- packCases)
+    test(s"packed knowledge rebuilds identically, also after Java serialisation: $name") {
+      val k = make()
+      assertRebuilt(k, Knowledge.Packed(k).knowledge)
+      assertRebuilt(k, javaRoundTrip(Knowledge.Packed(k)).knowledge)
+    }
 }

@@ -16,6 +16,14 @@ class SparkJoinSpec extends SparkSpec {
     strings.zipWithIndex.map { case (s, i) => (i.toLong, s) }.toDF("id", "str")
   }
 
+  /** (`id`, `key`): each string's local signature keys, exploded. */
+  private def signatureRows(strings: IndexedSeq[String], order: Map[String, Int],
+      cfg: LocalJoin.Config): DataFrame = {
+    import spark.implicits._
+    LocalJoin.signatures(k, strings, order, cfg).zipWithIndex
+      .flatMap { case (sig, i) => sig.map(key => (i.toLong, key)) }.toDF("id", "key")
+  }
+
   private def collectPairs(df: DataFrame): Set[(Int, Int)] =
     df.select("sid", "tid").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
 
@@ -24,6 +32,26 @@ class SparkJoinSpec extends SparkSpec {
     val sparkOrder = SparkJoin.computeOrder(spark, df, k)
     val localOrder = LocalJoin.buildOrder(k, ds.strings.take(50), MeasureSet.TJS, 2)
     assert(sparkOrder == localOrder)
+  }
+
+  test("Spark = local under Figure 1's knowledge and the empty knowledge") {
+    def bits(sid: Long, tid: Long, sim: Double) = (sid, tid, java.lang.Double.doubleToLongBits(sim))
+    val fig1 = Vector("coffee shop latte", "cafe latte", "apple cake with espresso",
+      "gateau and coffee drinks", "cake with latte", "coffee shop latte", "espresso cake")
+    for ((name, kk, strings) <- Seq(("figure1", Knowledge.figure1, fig1),
+        ("empty", Knowledge.empty, fig1 ++ ds.strings.take(40))); algo <- SigAlgo.all) {
+      val clue = s"$name ${algo.label}"
+      val cfg = LocalJoin.Config(0.5, 2, algo)
+      val df = toDF(strings)
+      assert(SparkJoin.computeOrder(spark, df, kk) ==
+        LocalJoin.buildOrder(kk, strings, cfg.measures, cfg.q), clue)
+      val want = LocalJoin.join(kk, strings, strings, cfg, selfJoin = true)._1
+        .map { case (i, j, sim) => bits(i, j, sim) }
+      val got = SparkJoin.join(spark, df, df, kk, cfg, selfJoin = true).collect()
+        .map(row => bits(row.getAs[Long]("sid"), row.getAs[Long]("tid"), row.getAs[Double]("sim")))
+      assert(want.nonEmpty, clue)
+      assert(got.sorted.toVector == want.sorted, clue)
+    }
   }
 
   test("Spark self-join equals local self-join (U-Filter)") {
@@ -67,7 +95,7 @@ class SparkJoinSpec extends SparkSpec {
     val strings = ds.strings.take(80)
     val df = toDF(strings)
     val order = LocalJoin.buildOrder(k, strings, cfg.measures, cfg.q)
-    val sig = SparkJoin.signatureKeys(spark, df, k, order, cfg)
+    val sig = signatureRows(strings, order, cfg)
     val cands = SparkJoin
       .candidates(spark, df, df, k, order, cfg, selfJoin = true)
       .select(col("sid"), col("tid"), col("overlap").cast("long").as("overlap"))
@@ -87,7 +115,7 @@ class SparkJoinSpec extends SparkSpec {
     val strings = ds.strings.take(80)
     val df = toDF(strings)
     val order = LocalJoin.buildOrder(k, strings, cfg.measures, cfg.q)
-    val sig = SparkJoin.signatureKeys(spark, df, k, order, cfg)
+    val sig = signatureRows(strings, order, cfg)
     val wrong = SparkJoin
       .candidates(spark, df, df, k, order, cfg, selfJoin = true)
       .select(col("sid"), col("tid"), (col("overlap").cast("long") + 1).as("overlap")) // off by one
@@ -156,17 +184,5 @@ class SparkJoinSpec extends SparkSpec {
     val cfg = LocalJoin.Config(0.8, 1, SigAlgo.UFilter)
     assert(SparkJoin.join(spark, empty, empty, k, cfg, selfJoin = true,
       precomputedOrder = Some(Map.empty)).count() == 0)
-  }
-
-  test("signature UDF output matches local signatures") {
-    val cfg = LocalJoin.Config(0.8, 3, SigAlgo.AUDp)
-    val strings = ds.strings.take(30)
-    val order = LocalJoin.buildOrder(k, strings, cfg.measures, cfg.q)
-    val sparkSigs = SparkJoin.signatureKeys(spark, toDF(strings), k, order, cfg)
-      .collect().groupBy(_.getLong(0)).view
-      .mapValues(_.map(_.getInt(1)).toSet).toMap
-    val localSigs = LocalJoin.signatures(k, strings, order, cfg)
-    for (i <- strings.indices)
-      assert(sparkSigs.getOrElse(i.toLong, Set.empty) == localSigs(i).toSet, s"string $i")
   }
 }
