@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.data.TextGen
 import repro.join._

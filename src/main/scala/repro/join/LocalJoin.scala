@@ -148,9 +148,8 @@ object LocalJoin {
   }
 
   /** Verification stage (Lines 9-11 of Algorithm 6): the approximate
-    * (or, with `useExact`, exact) USIM of each pair, kept when it reaches
-    * θ. Each string's side is prepared once, on first use, and serves
-    * every pair it is in.
+    * USIM of each pair, kept when it reaches θ. Each string's side is
+    * prepared once, on first use, and serves every pair it is in.
     */
   def verifyStage(
       k: Knowledge,
@@ -159,7 +158,6 @@ object LocalJoin {
       pairs: Iterator[(Int, Int)],
       cfg: Config,
       selfJoin: Boolean,
-      useExact: Boolean = false,
   ): Vector[(Int, Int, Double)] = {
     val grams = new UsimGraph.GramTable
     def sides(strings: IndexedSeq[String]): Int => UsimGraph.Side = {
@@ -173,8 +171,7 @@ object LocalJoin {
     val sideT = if (selfJoin) sideS else sides(right)
     val out = Vector.newBuilder[(Int, Int, Double)]
     for ((i, j) <- pairs) {
-      val g = UsimGraph.build(k, sideS(i), sideT(j), cfg.measures)
-      val sim = if (useExact) Usim.exactOnGraph(g) else Usim.approxOnGraph(g, cfg.tParam)._1
+      val sim = Usim.approxOnGraph(UsimGraph.build(k, sideS(i), sideT(j), cfg.measures), cfg.tParam)._1
       if (sim >= minSim(cfg.theta)) out += ((i, j, sim))
     }
     out.result()
@@ -189,10 +186,9 @@ object LocalJoin {
       right: IndexedSeq[String],
       cfg: Config,
       selfJoin: Boolean = false,
-      useExact: Boolean = false,
   ): Vector[(Int, Int, Double)] = {
     val pairs = for (i <- left.indices.iterator; j <- right.indices.iterator if !selfJoin || i < j)
       yield (i, j)
-    verifyStage(k, left, right, pairs, cfg, selfJoin, useExact)
+    verifyStage(k, left, right, pairs, cfg, selfJoin)
   }
 }

@@ -60,32 +60,26 @@ object Pebbles {
     generate(k, Segments.wellDefined(k, Tokenizer.tokens(s)), measures, q).iterator.map(_.key).toSet
 
   /** Global frequency order over per-string keys, rank 0 = rarest: each
-    * key counts once per string that contains it, then `rank` orders the
-    * counts. The paper sorts pebbles "by the ascending order of
-    * frequencies" so that signatures keep the rarest (most selective)
-    * pebbles.
+    * key counts once per string that contains it, and keys are ranked by
+    * (count, key). Every global order is built here (`LocalJoin.buildOrder`,
+    * which `SparkJoin` calls too, `AdaptJoin.gramOrder`, `rankSets`). The
+    * paper sorts pebbles "by the ascending order of frequencies" so that
+    * signatures keep the rarest (most selective) pebbles.
     */
   def keyOrder(perString: Iterator[IterableOnce[String]]): Map[String, Int] = {
     val freq = scala.collection.mutable.HashMap[String, Long]()
     for (keys <- perString; key <- keys.iterator.toSet[String])
       freq.update(key, freq.getOrElse(key, 0L) + 1)
-    rank(freq)
-  }
-
-  /** Ranks keys by their string counts, rarest first, ties broken by
-    * key — the single rule every global order (local, Spark, AdaptJoin)
-    * follows, so equal counts give equal orders.
-    */
-  def rank(freq: Iterable[(String, Long)]): Map[String, Int] =
     freq.toSeq.sortBy { case (k, f) => (f, k) }.iterator.zipWithIndex
       .map { case ((k, _), r) => k -> r }
       .toMap
+  }
 
   /** Each key's rank in a global order. A key the order lacks ranks
     * after every key it has: `order.size` plus its alphabetical index
     * among the missing keys of `keys` (an empty or partial order, as in
     * unit tests). `order` must hold the dense ranks `0 until order.size`
-    * that `rank` gives, and ranks from two calls are comparable only
+    * that `keyOrder` gives, and ranks from two calls are comparable only
     * when the order covers both calls' keys — every join's order covers
     * its collection.
     */

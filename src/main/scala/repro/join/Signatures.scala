@@ -22,8 +22,8 @@ object SigAlgo {
   * Pebbles are keyed by their rank in the global `order`
   * (`Pebbles.ranksOf`), so signatures are rank arrays. Ranks of two
   * contexts are comparable only when the order covers both strings'
-  * keys: `LocalJoin.buildOrder` covers the joined collection and
-  * `SparkJoin.computeOrder` the corpus.
+  * keys, as `LocalJoin.buildOrder` (which `SparkJoin` calls too) covers
+  * the collection it counts.
   */
 final class SignatureContext(
     val tokens: Vector[String],

@@ -9,11 +9,12 @@ import repro.core._
   *
   * DataFrames in and out, RDD steps inside: no query plan is built per
   * request, every shuffle takes its parent's partition count, and the
-  * candidate steps shuffle primitive records only. Per-string and per-pair
-  * work calls the code `LocalJoin` runs, over the knowledge broadcast in
-  * its packed form (`Knowledge.Packed`); `join` broadcasts the knowledge
-  * and the order once each. Input frames carry columns (`id` LONG,
-  * `str` STRING).
+  * candidate steps shuffle primitive records only. Spark does the pairwise
+  * work only (signatures, candidates, verification), calling the code
+  * `LocalJoin` runs over the knowledge broadcast in its packed form
+  * (`Knowledge.Packed`); the frequency order is `LocalJoin.buildOrder` on
+  * the driver. `join` broadcasts the knowledge and the order once each.
+  * Input frames carry columns (`id` LONG, `str` STRING).
   */
 object SparkJoin {
 
@@ -23,9 +24,9 @@ object SparkJoin {
   private def broadcast(spark: SparkSession, k: Knowledge): Broadcast[Knowledge.Packed] =
     spark.sparkContext.broadcast(Knowledge.Packed(k))
 
-  /** Global frequency order: the number of strings containing each
-    * pebble key is counted with a `reduceByKey`, then ranked by
-    * `Pebbles.rank` exactly as `LocalJoin.buildOrder` ranks it.
+  /** Global frequency order: `LocalJoin.buildOrder` over the frame's
+    * strings, collected on the driver. `spark` is unused and kept for
+    * callers.
     */
   def computeOrder(
       spark: SparkSession,
@@ -34,12 +35,10 @@ object SparkJoin {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): Map[String, Int] =
-    keyOrder(strings.select("str").rdd.map(_.getString(0)), broadcast(spark, k), measures, q)
+    LocalJoin.buildOrder(k, texts(strings), measures, q)
 
-  private def keyOrder(strings: RDD[String], bk: Broadcast[Knowledge.Packed], measures: MeasureSet,
-      q: Int) =
-    Pebbles.rank(strings.flatMap(Pebbles.keys(bk.value.knowledge, _, measures, q))
-      .map((_, 1L)).reduceByKey(_ + _).collect())
+  private def texts(strings: DataFrame): Vector[String] =
+    strings.select("str").collect().iterator.map(_.getString(0)).toVector
 
   private def idStrings(strings: DataFrame): RDD[(Long, String)] =
     strings.select("id", "str").rdd.map(r => (r.getLong(0), r.getString(1)))
@@ -102,8 +101,8 @@ object SparkJoin {
     val bk = broadcast(spark, k)
     val l = idStrings(left)
     val r = if (selfJoin) l else idStrings(right)
-    val order = precomputedOrder.getOrElse(
-      keyOrder((if (selfJoin) l else l ++ r).values, bk, cfg.measures, cfg.q))
+    val order = precomputedOrder.getOrElse(LocalJoin.buildOrder(k,
+      if (selfJoin) texts(left) else texts(left) ++ texts(right), cfg.measures, cfg.q))
     val cands = overlaps(l, r, bk, spark.sparkContext.broadcast(order), cfg, selfJoin)
     verified(spark, cands.mapValues(_._1), l, r, bk, cfg)
   }

@@ -8,8 +8,11 @@ import repro.data.TextGen
 /** Spark = local for every signature algorithm and τ: `candidates`
   * returns `LocalJoin.filterStage`'s pairs with their shared-key counts,
   * and `join` returns `LocalJoin.join`'s triples, sims bit for bit. Each
-  * collection repeats some of its strings, cross-joins share strings at
-  * different ids, and one side may be empty.
+  * collection repeats some of its strings and holds empty,
+  * whitespace-only and one-token strings, cross-joins share strings at
+  * different ids, and one side may be empty. `computeOrder` returns the
+  * local order of every joined collection, from a local and a
+  * repartitioned frame, and `join` gets no order, so it builds its own.
   */
 class SparkJoinEquivalenceSpec extends SparkSpec {
 
@@ -28,6 +31,9 @@ class SparkJoinEquivalenceSpec extends SparkSpec {
       theta: Double, selfJoin: Boolean): Int = {
     val (l, r) = (toDF(left), toDF(right))
     val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, MeasureSet.TJS, 2)
+    val frame = if (selfJoin) l else l.union(r)
+    for ((df, clue) <- Seq((frame, "local"), (frame.repartition(3), "repartitioned")))
+      assert(SparkJoin.computeOrder(spark, df, k) == order, s"computeOrder $clue selfJoin=$selfJoin")
     val nonEmpty = for (algo <- SigAlgo.all; tau <- Seq(1, 2, 4, 8)) yield {
       val cfg = LocalJoin.Config(theta, tau, algo)
       val clue = s"${algo.label} τ=$tau selfJoin=$selfJoin"
@@ -53,11 +59,16 @@ class SparkJoinEquivalenceSpec extends SparkSpec {
     nonEmpty.count(identity)
   }
 
+  /** Empty, whitespace-only and one-token strings (a token of `base`). */
+  private def edgeCases(base: IndexedSeq[String]): IndexedSeq[String] =
+    Vector("", "   ", "\t", Tokenizer.tokens(base(0)).head, Tokenizer.tokens(base(1)).last)
+
   for ((kind, seed, theta) <- Seq((TextGen.MedLite, 31L, 0.75), (TextGen.WikiLite, 41L, 0.8))) {
     lazy val gctx = TextGen.context(kind)
     lazy val base = TextGen.joinDataset(gctx, n = 60, seed = seed).strings
-    // repeated strings make every join have results, at sim 1.0 at least
-    lazy val strings = base ++ base.take(6)
+    // repeated strings make every join have results, at sim 1.0 at least;
+    // the edge cases sit in both sides of the cross-join
+    lazy val strings = base.take(30) ++ edgeCases(base) ++ base.drop(30) ++ base.take(6)
 
     test(s"${kind.name}: Spark self-join = local for every algorithm and τ") {
       assert(checkAll(gctx.knowledge, strings, strings, theta, selfJoin = true) == 12)
