@@ -1,5 +1,8 @@
 package repro.join
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler._
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -24,6 +27,12 @@ class SparkJoinSpec extends SparkSpec {
       .flatMap { case (sig, i) => sig.map(key => (i.toLong, key)) }.toDF("id", "key")
   }
 
+  private def bits(sid: Long, tid: Long, sim: Double) = (sid, tid, java.lang.Double.doubleToLongBits(sim))
+
+  private def simBits(df: DataFrame): Vector[(Long, Long, Long)] = df.collect()
+    .map(row => bits(row.getAs[Long]("sid"), row.getAs[Long]("tid"), row.getAs[Double]("sim")))
+    .toVector.sorted
+
   private def collectPairs(df: DataFrame): Set[(Int, Int)] =
     df.select("sid", "tid").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
 
@@ -35,7 +44,6 @@ class SparkJoinSpec extends SparkSpec {
   }
 
   test("Spark = local under Figure 1's knowledge and the empty knowledge") {
-    def bits(sid: Long, tid: Long, sim: Double) = (sid, tid, java.lang.Double.doubleToLongBits(sim))
     val fig1 = Vector("coffee shop latte", "cafe latte", "apple cake with espresso",
       "gateau and coffee drinks", "cake with latte", "coffee shop latte", "espresso cake")
     for ((name, kk, strings) <- Seq(("figure1", Knowledge.figure1, fig1),
@@ -145,7 +153,6 @@ class SparkJoinSpec extends SparkSpec {
   }
 
   test("verify returns LocalJoin.verifyStage's triples, sims bit for bit") {
-    def bits(sid: Long, tid: Long, sim: Double) = (sid, tid, java.lang.Double.doubleToLongBits(sim))
     def check(kk: Knowledge, left: IndexedSeq[String], right: IndexedSeq[String],
         selfJoin: Boolean, partitions: Int): Unit = {
       val cfg = LocalJoin.Config(0.6, 1, SigAlgo.UFilter)
@@ -184,5 +191,97 @@ class SparkJoinSpec extends SparkSpec {
     val cfg = LocalJoin.Config(0.8, 1, SigAlgo.UFilter)
     assert(SparkJoin.join(spark, empty, empty, k, cfg, selfJoin = true,
       precomputedOrder = Some(Map.empty)).count() == 0)
+  }
+
+  test("the order ships packed and rebuilds identically, also after Java serialisation") {
+    val bos = new java.io.ByteArrayOutputStream()
+    def javaRoundTrip(p: SparkJoin.PackedOrder): SparkJoin.PackedOrder = {
+      bos.reset()
+      new java.io.ObjectOutputStream(bos).writeObject(p)
+      new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+        .readObject().asInstanceOf[SparkJoin.PackedOrder]
+    }
+    val wiki = TextGen.context(TextGen.WikiLite)
+    for (order <- Seq(Map.empty[String, Int], Map("só" -> 0),
+        LocalJoin.buildOrder(k, ds.strings, MeasureSet.TJS, 2),
+        LocalJoin.buildOrder(wiki.knowledge, TextGen.joinDataset(wiki, n = 100, seed = 41L).strings,
+          MeasureSet.TJS, 2))) {
+      assert(SparkJoin.PackedOrder(order).order == order)
+      assert(javaRoundTrip(SparkJoin.PackedOrder(order)).order == order)
+    }
+    for (gappy <- Seq(Map("a" -> 1), Map("a" -> 0, "b" -> 0), Map("a" -> -1)))
+      intercept[IllegalArgumentException](SparkJoin.PackedOrder(gappy))
+  }
+
+  test("frames are read by column name: (str, tag, id) frames give the (id, str) output") {
+    import spark.implicits._
+    def tagged(strings: IndexedSeq[String]): DataFrame =
+      strings.zipWithIndex.map { case (s, i) => (s, s"tag $i", i.toLong) }.toDF("str", "tag", "id")
+    def overlaps(df: DataFrame) = df.collect()
+      .map(r => (r.getAs[Long]("sid"), r.getAs[Long]("tid"), r.getAs[Long]("overlap"))).toVector.sorted
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    // the sides of the cross-join share strings, so it has results, at different ids
+    for ((left, right, selfJoin) <- Seq((ds.strings, ds.strings, true),
+        (ds.strings.take(90), ds.strings.drop(60), false))) {
+      val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
+      def outputs(l: DataFrame, r: DataFrame) = {
+        val cands = SparkJoin.candidates(spark, l, r, k, order, cfg, selfJoin)
+        (SparkJoin.computeOrder(spark, l, k), overlaps(cands),
+          simBits(SparkJoin.verify(spark, cands.select("overlap", "tid", "sid"), l, r, k, cfg)),
+          simBits(SparkJoin.join(spark, l, r, k, cfg, selfJoin)))
+      }
+      val (plainL, taggedL) = (toDF(left), tagged(left))
+      val want = outputs(plainL, if (selfJoin) plainL else toDF(right))
+      assert(want._1 == LocalJoin.buildOrder(k, left, cfg.measures, cfg.q) && want._4.nonEmpty)
+      assert(outputs(taggedL, if (selfJoin) taggedL else tagged(right)) == want, s"selfJoin=$selfJoin")
+    }
+  }
+
+  test("a self-join runs one job of 5 stages and shuffles its strings once") {
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    val df = toDF(ds.strings)
+    val order = LocalJoin.buildOrder(k, ds.strings, cfg.measures, cfg.q)
+    // a stage that shuffles the strings writes one record per string;
+    // the signature stage, which reads them too, writes one per key
+    assert(LocalJoin.signatures(k, ds.strings, order, cfg).map(_.length).sum != ds.strings.length)
+    val input = df.rdd.id // Spark memoizes `rdd` per frame, so the join reads this RDD
+    val sc = spark.sparkContext
+    val tag = "repro.test.plan"
+    val jobs = new ConcurrentLinkedQueue[SparkListenerJobStart]()
+    val stages = new ConcurrentLinkedQueue[StageInfo]()
+    val markerDone = new CountDownLatch(1)
+    val listener = new SparkListener {
+      private var marker = -1 // events reach a listener on one thread, in order
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(tag)) match {
+          case Some("join") => jobs.add(e)
+          case Some("marker") => marker = e.jobId
+          case _ =>
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = stages.add(e.stageInfo)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == marker) markerDone.countDown()
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tag, "join")
+      assert(SparkJoin.join(spark, df, df, k, cfg, selfJoin = true,
+        precomputedOrder = Some(order)).collect().nonEmpty)
+      // once the marker job's end has arrived, every event of the join has
+      sc.setLocalProperty(tag, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerDone.await(60, TimeUnit.SECONDS))
+    } finally {
+      sc.setLocalProperty(tag, null)
+      sc.removeSparkListener(listener)
+    }
+    assert(jobs.size == 1)
+    val ids = jobs.asScala.flatMap(_.stageIds).toSet
+    val ran = stages.asScala.filter(s => ids(s.stageId)).toVector
+    assert(ran.length == 5, ran.map(_.name))
+    val overInput = ran.filter(_.rddInfos.exists(_.id == input))
+    assert(overInput.length == 2, overInput.map(_.name))
+    assert(overInput.count(_.taskMetrics.shuffleWriteMetrics.recordsWritten == ds.strings.length) == 1,
+      overInput.map(s => s.name -> s.taskMetrics.shuffleWriteMetrics.recordsWritten))
   }
 }
