@@ -70,21 +70,26 @@ object UsimGraph {
     private val table = mutable.HashMap.empty[String, Int]
 
     /** G(text, q) (`Tokenizer.qgrams`) as sorted distinct gram ids. */
-    def ids(text: String, q: Int): Array[Int] = {
-      val occ = Tokenizer.qgramOccurrences(text, q).iterator
-        .map(g => table.getOrElseUpdate(g, table.size)).toArray
-      java.util.Arrays.sort(occ)
-      var n = 0
-      for (i <- occ.indices) if (n == 0 || occ(i) != occ(n - 1)) { occ(n) = occ(i); n += 1 }
-      java.util.Arrays.copyOf(occ, n)
-    }
+    def ids(text: String, q: Int): Array[Int] =
+      sortedDistinct(Tokenizer.qgramOccurrences(text, q).iterator
+        .map(g => table.getOrElseUpdate(g, table.size)).toArray)
+  }
+
+  /** `xs` sorted, duplicates dropped; sorts `xs` in place. */
+  private def sortedDistinct(xs: Array[Int]): Array[Int] = {
+    java.util.Arrays.sort(xs)
+    var n = 0
+    for (i <- xs.indices) if (n == 0 || xs(i) != xs(n - 1)) { xs(n) = xs(i); n += 1 }
+    java.util.Arrays.copyOf(xs, n)
   }
 
   /** One string's half of every conflict graph it takes part in: its
     * well-defined segments with what the builder looks up per segment —
-    * q-gram ids (sorted, from `grams`), taxonomy node (−1 if none), the
-    * rules whose lhs is the segment, the rules touching it — and the
-    * coverage masks, single-token and entity segments derived from them.
+    * q-gram ids (sorted, from `grams`), taxonomy node (−1 if none) and
+    * its path from the root (empty if none), the rules whose lhs is the
+    * segment, the rule sides it is (`ruleSide` codes, in
+    * `Knowledge.rulesTouching` order) — and the coverage masks,
+    * single-token and entity segments derived from them.
     */
   final class Side private[UsimGraph] (
       val len: Int,
@@ -93,8 +98,9 @@ object UsimGraph {
       val segs: Array[Segment],
       val gramIds: Array[Array[Int]],
       val nodes: Array[Int],
+      val paths: Array[Array[Int]],
       val lhsRules: Array[Array[Int]],
-      val touching: Array[Array[Int]],
+      val ruleSides: Array[Array[Int]],
   ) {
     val masks: Array[Long] = segs.map(mask)
     val singles: Array[Int] = segs.indices.filter(segs(_).length == 1).toArray
@@ -103,7 +109,34 @@ object UsimGraph {
     /** Segment indices by token span; looked up when this is T's side. */
     lazy val bySpan: Map[Vector[String], Seq[Int]] =
       segs.indices.groupBy(i => segs(i).tokens).view.mapValues(_.toSeq).toMap
+
+    // What `UsimBound` reads of the string; only bounded verification
+    // needs it.
+
+    /** G of the whole string: its segments' gram ids, sorted, distinct. */
+    lazy val gramUnion: Array[Int] = sortedDistinct(gramIds.flatten)
+
+    /** Each segment's gram ids as positions in `gramUnion`. */
+    lazy val gramPos: Array[Array[Int]] =
+      gramIds.map(_.map(java.util.Arrays.binarySearch(gramUnion, _)))
+
+    /** Every rule side that is a span of the string, sorted, distinct. */
+    lazy val allRuleSides: Array[Int] = sortedDistinct(ruleSides.flatten)
+
+    /** The fewest segments of any tiling of the string by its segments. */
+    lazy val minParts: Int = {
+      val fewest = Array.fill(len + 1)(len)
+      fewest(0) = 0
+      for (seg <- segs) fewest(seg.end) = math.min(fewest(seg.end), fewest(seg.start) + 1)
+      fewest(len)
+    }
   }
+
+  /** Code of rule `rid`'s lhs (`rhs = false`) or rhs as a span: a
+    * segment that is one side of a rule meets the other side's code
+    * `code ^ 1`.
+    */
+  private def ruleSide(rid: Int, rhs: Boolean): Int = 2 * rid + (if (rhs) 1 else 0)
 
   /** Prepares a tokenised string for `build`: segment enumeration, gram
     * sets and knowledge lookups, done once per string instead of once
@@ -112,11 +145,16 @@ object UsimGraph {
   def side(k: Knowledge, toks: Vector[String], q: Int, grams: GramTable): Side = {
     require(toks.length <= 64, "strings longer than 64 tokens unsupported")
     val segs = Segments.wellDefined(k, toks).toArray
+    val nodes = segs.map(s => k.taxonomy.byName.getOrElse(s.tokens, -1))
     new Side(toks.length, q, grams, segs,
       segs.map(s => grams.ids(s.text, q)),
-      segs.map(s => k.taxonomy.byName.getOrElse(s.tokens, -1)),
+      nodes,
+      nodes.map(n => if (n < 0) Array.emptyIntArray else k.taxonomy.ancestors(n).reverse.toArray),
       segs.map(s => k.byLhs.getOrElse(s.tokens, Nil).toArray),
-      segs.map(s => k.rulesTouching(s.tokens).toArray))
+      segs.map(s => k.rulesTouching(s.tokens).iterator.flatMap { rid =>
+        val r = k.rule(rid)
+        Iterator(false, true).filter(rhs => (if (rhs) r.rhs else r.lhs) == s.tokens).map(ruleSide(rid, _))
+      }.toArray))
   }
 
   /** Graph construction of §2.3 from raw token sequences: prepares both
@@ -153,11 +191,10 @@ object UsimGraph {
     if (measures.j) for (si <- s.singles; ti <- t.singles) add(si, ti)
     // (a) synonym-rule pairs, either direction.
     if (measures.s) {
-      for (si <- s.segs.indices; rid <- s.touching(si)) {
-        val r = k.rule(rid)
-        val toks = s.segs(si).tokens
-        if (r.lhs == toks) for (ti <- t.bySpan.getOrElse(r.rhs, Nil)) add(si, ti)
-        if (r.rhs == toks) for (ti <- t.bySpan.getOrElse(r.lhs, Nil)) add(si, ti)
+      for (si <- s.segs.indices; code <- s.ruleSides(si)) {
+        val r = k.rule(code >>> 1)
+        val other = if ((code & 1) == 0) r.rhs else r.lhs
+        for (ti <- t.bySpan.getOrElse(other, Nil)) add(si, ti)
       }
     }
     // (b) taxonomy-entity pairs.

@@ -3,11 +3,13 @@ package repro.join
 import repro.core._
 
 /** Counters of one join run. `processedPairs` is the paper's T_τ
-  * (Eq 16) and `candidates` its V_τ.
+  * (Eq 16) and `candidates` its V_τ; `pruned` candidates were dropped by
+  * the pair bound (`UsimBound`) without building their conflict graph.
   */
 final case class JoinStats(
     processedPairs: Long,
     candidates: Long,
+    pruned: Long,
     results: Long,
     avgSignatureLen: Double,
 )
@@ -140,16 +142,18 @@ object LocalJoin {
     val sigS = signatures(k, left, order, cfg)
     val sigT = if (selfJoin) sigS else signatures(k, right, order, cfg)
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
-    val out = verifyStage(k, left, right, cands.iterator, cfg, selfJoin)
+    val (out, pruned) = verify(k, left, right, cands.iterator, cfg, selfJoin, bounded = true)
     val avgSig = if (sigS.isEmpty && sigT.isEmpty) 0.0
                  else (sigS.iterator.map(_.size).sum + sigT.iterator.map(_.size).sum).toDouble /
                       (sigS.length + sigT.length)
-    (out, JoinStats(processed, cands.length, out.length, avgSig))
+    (out, JoinStats(processed, cands.length, pruned, out.length, avgSig))
   }
 
   /** Verification stage (Lines 9-11 of Algorithm 6): the approximate
     * USIM of each pair, kept when it reaches θ. Each string's side is
-    * prepared once, on first use, and serves every pair it is in.
+    * prepared once, on first use, and serves every pair it is in. A pair
+    * whose `UsimBound` is below θ is dropped before its conflict graph
+    * is built.
     */
   def verifyStage(
       k: Knowledge,
@@ -158,7 +162,23 @@ object LocalJoin {
       pairs: Iterator[(Int, Int)],
       cfg: Config,
       selfJoin: Boolean,
-  ): Vector[(Int, Int, Double)] = {
+  ): Vector[(Int, Int, Double)] =
+    verify(k, left, right, pairs, cfg, selfJoin, bounded = true)._1
+
+  /** `verifyStage`, with the pair bound or without it; also returns how
+    * many pairs the bound pruned. The bound prunes only below θ less
+    * `UsimBound.Slack`, so it never drops a pair that verification
+    * reports.
+    */
+  private def verify(
+      k: Knowledge,
+      left: IndexedSeq[String],
+      right: IndexedSeq[String],
+      pairs: Iterator[(Int, Int)],
+      cfg: Config,
+      selfJoin: Boolean,
+      bounded: Boolean,
+  ): (Vector[(Int, Int, Double)], Long) = {
     val grams = new UsimGraph.GramTable
     def sides(strings: IndexedSeq[String]): Int => UsimGraph.Side = {
       val memo = new Array[UsimGraph.Side](strings.length)
@@ -169,12 +189,19 @@ object LocalJoin {
     }
     val sideS = sides(left)
     val sideT = if (selfJoin) sideS else sides(right)
+    val bound = new UsimBound(k, cfg.measures)
+    val cut = minSim(cfg.theta)
+    val prune = cut - UsimBound.Slack
+    var pruned = 0L
     val out = Vector.newBuilder[(Int, Int, Double)]
     for ((i, j) <- pairs) {
-      val sim = Usim.approxOnGraph(UsimGraph.build(k, sideS(i), sideT(j), cfg.measures), cfg.tParam)._1
-      if (sim >= minSim(cfg.theta)) out += ((i, j, sim))
+      if (bounded && bound(sideS(i), sideT(j), prune) < prune) pruned += 1
+      else {
+        val sim = Usim.approxOnGraph(UsimGraph.build(k, sideS(i), sideT(j), cfg.measures), cfg.tParam)._1
+        if (sim >= cut) out += ((i, j, sim))
+      }
     }
-    out.result()
+    (out.result(), pruned)
   }
 
   /** Brute-force verify-all join — the oracle the filtered joins are
@@ -189,6 +216,6 @@ object LocalJoin {
   ): Vector[(Int, Int, Double)] = {
     val pairs = for (i <- left.indices.iterator; j <- right.indices.iterator if !selfJoin || i < j)
       yield (i, j)
-    verifyStage(k, left, right, pairs, cfg, selfJoin)
+    verify(k, left, right, pairs, cfg, selfJoin, bounded = false)._1
   }
 }

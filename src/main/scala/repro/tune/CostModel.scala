@@ -13,13 +13,19 @@ final case class CostModel(cf: Double, cv: Double) {
 
 object CostModel {
 
-  /** Ballpark constants for unit tests (verification ~200× filtering). */
+  /** Ballpark constants for unit tests, not calibrated: verification
+    * 200× filtering. Calibration on the perfbench collections measures
+    * c_f 40–90 ns and c_v 16–23 µs, 200–400× (c_v includes preparing
+    * the sample's sides).
+    */
   val Default: CostModel = CostModel(cf = 40.0, cv = 8000.0)
 
   /** Measure c_f and c_v on a small sample of the actual workload:
     * c_f = time per processed pair in the filtering stage, c_v = time
-    * per USIM verification, run by the join's own verification stage
-    * (each string's side prepared on first use, inside the timing).
+    * per candidate in the join's own verification stage: the pair bound
+    * (`UsimBound`) on every candidate plus USIM on those it does not
+    * prune, each string's side prepared on first use, all inside the
+    * timing. Eq 15 keeps its form; c_v is the average candidate's cost.
     * Mirrors the paper's assumption that both are dataset-level
     * constants.
     */

@@ -88,6 +88,32 @@ class LocalJoinSpec extends AnyFunSuite {
     assert(st.avgSignatureLen > 0)
   }
 
+  test("stats count pruned pairs: pruned <= candidates, results <= candidates - pruned, repeatable") {
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    val (res, st) = LocalJoin.join(k, ds.strings, ds.strings, cfg, selfJoin = true)
+    assert(st.pruned > 0 && st.pruned <= st.candidates)
+    assert(st.results == res.length && st.results <= st.candidates - st.pruned)
+    assert(LocalJoin.join(k, ds.strings, ds.strings, cfg, selfJoin = true)._2 == st)
+  }
+
+  test("bounded verification equals bruteForce, sims bit for bit") {
+    for (kind <- Seq(TextGen.MedLite, TextGen.WikiLite)) {
+      val ctx = TextGen.context(kind, 3L)
+      val a = TextGen.joinDataset(ctx, 50, 3L).strings
+      val b = TextGen.joinDataset(ctx, 50, 31L).strings
+      def bits(v: Vector[(Int, Int, Double)]) = v.map(r => (r._1, r._2, java.lang.Double.doubleToLongBits(r._3)))
+      for (theta <- Seq(0.7, 0.75, 0.85, 0.95); m <- Seq(MeasureSet.TJS, MeasureSet.J, MeasureSet.T)) {
+        val cfg = LocalJoin.Config(theta, measures = m)
+        for ((left, right, self) <- Seq((a, a, true), (a, b, false))) {
+          val pairs = for (i <- left.indices.iterator; j <- right.indices.iterator if !self || i < j) yield (i, j)
+          val got = LocalJoin.verifyStage(ctx.knowledge, left, right, pairs, cfg, self)
+          val want = LocalJoin.bruteForce(ctx.knowledge, left, right, cfg, self)
+          assert(bits(got) == bits(want), s"${kind.name} θ=$theta ${m.label} self=$self")
+        }
+      }
+    }
+  }
+
   test("filterStage τ monotonicity: higher τ yields fewer candidates") {
     val order = LocalJoin.buildOrder(k, ds.strings, MeasureSet.TJS, 2)
     val cfg = LocalJoin.Config(0.75, 4, SigAlgo.AUHeuristic)
