@@ -11,9 +11,9 @@ import repro.join._
   * Filtering time = materialising the candidate DataFrame (persisted
   * count of `SparkJoin.candidates`: the rank grouping and the per-`sid`
   * overlap count); verification = `SparkJoin.verify` over the persisted
-  * candidates (two string joins, then `LocalJoin.verifyStage` per
-  * partition). Each shuffle takes its input's partition count, so the
-  * session's shuffle-partition setting does not enter either time.
+  * candidates (`LocalJoin.verifyStage` per partition on the broadcast
+  * strings, no shuffle). Each shuffle takes its input's partition count,
+  * so the session's shuffle-partition setting does not enter either time.
   * Suggestion runs Algorithm 7 on the driver over the same strings (its
   * samples are ~ps·n strings — independent of join size, which Table 10
   * confirms).

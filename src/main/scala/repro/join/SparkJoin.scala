@@ -1,5 +1,6 @@
 package repro.join
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.HashPartitioner
@@ -12,15 +13,15 @@ import repro.core._
 /** Distributed unified set join (Algorithms 3/6 as a Spark dataflow).
   *
   * DataFrames in and out, RDD steps inside: no query is planned per
-  * request, every shuffle takes its parent's partition count, and the
-  * candidate steps shuffle primitive records only. Spark does the pairwise
-  * work only (signatures, candidates, verification), calling the code
-  * `LocalJoin` runs over the knowledge broadcast in its packed form
-  * (`Knowledge.Packed`); the frequency order is `LocalJoin.buildOrder` on
-  * the driver and ships as a [[SparkJoin.PackedOrder]]. `join` broadcasts
-  * the knowledge and the order once each, and shuffles each side's
-  * strings once. Input frames carry columns `id` (LONG) and `str`
-  * (STRING), read by name; other columns are ignored.
+  * request, every shuffle takes its parent's partition count and shuffles
+  * primitive records only. Spark does the pairwise work only (signatures,
+  * candidates, verification), calling the code `LocalJoin` runs over the
+  * knowledge broadcast in its packed form (`Knowledge.Packed`); the
+  * frequency order is `LocalJoin.buildOrder` on the driver and ships as a
+  * [[SparkJoin.PackedOrder]]. Each call collects its frames once on the
+  * driver and broadcasts their strings once. Input frames carry columns
+  * `id` (LONG, distinct within a frame) and `str` (STRING), read by name;
+  * other columns are ignored.
   */
 object SparkJoin {
 
@@ -49,6 +50,26 @@ object SparkJoin {
     }
   }
 
+  /** A frame's ids ascending, each string at its id's position. The steps
+    * shuffle positions, so a self-join's pairs i < j are its sid < tid.
+    */
+  private final class Side(val ids: Array[Long], val strings: IndexedSeq[String]) extends Serializable {
+    def position(id: Long): Int = {
+      val p = java.util.Arrays.binarySearch(ids, id)
+      require(p >= 0, s"id $id is not in the frame")
+      p
+    }
+  }
+
+  /** The frame through its own `collect()`, planned once per frame (a `select` is planned per call). */
+  private def side(df: DataFrame): Side = {
+    val (id, str) = (df.schema.fieldIndex("id"), df.schema.fieldIndex("str"))
+    val rows = df.collect().sortBy(_.getLong(id))
+    for (p <- 1 until rows.length) require(rows(p).getLong(id) != rows(p - 1).getLong(id),
+      s"id ${rows(p).getLong(id)} occurs more than once in a frame; ids must be distinct")
+    new Side(rows.map(_.getLong(id)), ArraySeq.unsafeWrapArray(rows.map(_.getString(str))))
+  }
+
   /** Every knowledge broadcast: tasks read `bk.value.knowledge`, rebuilt
     * once per broadcast in each JVM.
     */
@@ -58,9 +79,13 @@ object SparkJoin {
   private def broadcast(spark: SparkSession, order: Map[String, Int]): Broadcast[PackedOrder] =
     spark.sparkContext.broadcast(PackedOrder(order))
 
+  /** Both sides in one broadcast; a frame on both sides ships once. */
+  private def broadcast(spark: SparkSession, left: Side, right: Side): Broadcast[(Side, Side)] =
+    spark.sparkContext.broadcast((left, right))
+
   /** Global frequency order: `LocalJoin.buildOrder` over the frame's
-    * strings, collected on the driver. `spark` is unused and kept for
-    * callers.
+    * strings, collected on the driver. Reads only `str`; `spark` is
+    * unused and kept for callers.
     */
   def computeOrder(
       spark: SparkSession,
@@ -69,38 +94,24 @@ object SparkJoin {
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
   ): Map[String, Int] =
-    LocalJoin.buildOrder(k, texts(strings), measures, q)
-
-  /** The frame's strings through its own `collect()`, whose plan Spark
-    * keeps with the frame: a `select` would be planned on every call.
-    */
-  private def texts(strings: DataFrame): Vector[String] = {
-    val str = strings.schema.fieldIndex("str")
-    strings.collect().iterator.map(_.getString(str)).toVector
-  }
-
-  /** Columns `a` and `b` of every row, through the frame's `rdd`, which
-    * Spark memoizes per frame: a `select(...).rdd` would be planned on
-    * every call.
-    */
-  private def columns[A, B](df: DataFrame, a: String, b: String): RDD[(A, B)] = {
-    val (i, j) = (df.schema.fieldIndex(a), df.schema.fieldIndex(b))
-    df.rdd.map(r => (r.getAs[A](i), r.getAs[B](j)))
-  }
-
-  private def idStrings(strings: DataFrame): RDD[(Long, String)] = columns(strings, "id", "str")
+    LocalJoin.buildOrder(k, strings.collect().map(_.getAs[String]("str")), measures, q)
 
   /** A result frame (`sid` LONG, `tid` LONG, `value`) from `Row`s. */
   private def pairFrame(spark: SparkSession, rows: RDD[Row], value: String, tpe: DataType): DataFrame =
     spark.createDataFrame(rows, StructType(Seq(StructField("sid", LongType, nullable = false),
       StructField("tid", LongType, nullable = false), StructField(value, tpe, nullable = false))))
 
-  /** (`rank`, `id`) for each key of each string's signature. */
-  private def signatures(strings: RDD[(Long, String)], bk: Broadcast[Knowledge.Packed],
-      bo: Broadcast[PackedOrder], cfg: LocalJoin.Config): RDD[(Int, Long)] =
-    strings.flatMap { case (id, s) =>
-      LocalJoin.signature(bk.value.knowledge, s, bo.value.order, cfg).iterator.map((_, id))
+  /** (`rank`, position) for each key of each string's signature, over
+    * min(n, `defaultParallelism`) partitions, as a local frame's `rdd` has.
+    */
+  private def signatures(spark: SparkSession, bs: Broadcast[(Side, Side)], side: ((Side, Side)) => Side,
+      bk: Broadcast[Knowledge.Packed], bo: Broadcast[PackedOrder], cfg: LocalJoin.Config): RDD[(Int, Int)] = {
+    val sc = spark.sparkContext
+    val n = side(bs.value).strings.length
+    sc.parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism))).flatMap { i =>
+      LocalJoin.signature(bk.value.knowledge, side(bs.value).strings(i), bo.value.order, cfg).iterator.map((_, i))
     }
+  }
 
   /** Candidate pairs (`sid`, `tid`, `overlap`) sharing ≥ τ signature
     * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3). A
@@ -115,45 +126,46 @@ object SparkJoin {
       order: Map[String, Int],
       cfg: LocalJoin.Config,
       selfJoin: Boolean = false,
-  ): DataFrame = pairFrame(spark, overlaps(idStrings(left), idStrings(right),
-    broadcast(spark, k), broadcast(spark, order), cfg, selfJoin)
-    .map { case (s, (t, n)) => Row(s, t, n) }, "overlap", LongType)
+  ): DataFrame = {
+    val l = side(left)
+    val bs = broadcast(spark, l, if (selfJoin) l else side(right))
+    pairFrame(spark, overlaps(spark, bs, broadcast(spark, k), broadcast(spark, order), cfg, selfJoin)
+      .map { case (s, t, n) => Row(bs.value._1.ids(s), bs.value._2.ids(t), n.toLong) }, "overlap", LongType)
+  }
 
-  private def overlaps(left: RDD[(Long, String)], right: => RDD[(Long, String)],
-      bk: Broadcast[Knowledge.Packed], bo: Broadcast[PackedOrder], cfg: LocalJoin.Config,
-      selfJoin: Boolean): RDD[(Long, (Long, Long))] = {
-    val sigL = signatures(left, bk, bo, cfg)
+  /** (`sid`, `tid`, `overlap`) by position, grouped by `sid`. */
+  private def overlaps(spark: SparkSession, bs: Broadcast[(Side, Side)], bk: Broadcast[Knowledge.Packed],
+      bo: Broadcast[PackedOrder], cfg: LocalJoin.Config, selfJoin: Boolean): RDD[(Int, Int, Int)] = {
+    val sigL = signatures(spark, bs, _._1, bk, bo, cfg)
     val pairs = if (selfJoin) sigL.partitionBy(new HashPartitioner(sigL.getNumPartitions))
-      .mapPartitions(grouped(_).flatMap { case (_, ids) =>
-        java.util.Arrays.sort(ids)
-        for (x <- ids.indices.iterator; y <- Iterator.range(x + 1, ids.length)) yield (ids(x), ids(y))
+      .mapPartitions(grouped(_).flatMap { case (_, ps) =>
+        java.util.Arrays.sort(ps)
+        for (x <- ps.indices.iterator; y <- Iterator.range(x + 1, ps.length)) yield (ps(x), ps(y))
       })
     else {
-      val sigR = signatures(right, bk, bo, cfg)
+      val sigR = signatures(spark, bs, _._2, bk, bo, cfg)
       val byRank = new HashPartitioner(math.max(sigL.getNumPartitions, sigR.getNumPartitions))
       sigL.partitionBy(byRank).zipPartitions(sigR.partitionBy(byRank))(joined(_, _).map(_._2))
     }
     pairs.partitionBy(new HashPartitioner(pairs.getNumPartitions)).mapPartitions(grouped(_).flatMap {
       case (sid, tids) =>
         java.util.Arrays.sort(tids)
-        val out = Vector.newBuilder[(Long, (Long, Long))]
+        val out = Vector.newBuilder[(Int, Int, Int)]
         var from = 0
         while (from < tids.length) {
           var to = from + 1
           while (to < tids.length && tids(to) == tids(from)) to += 1
-          if (to - from >= cfg.tau) out += ((sid, (tids(from), (to - from).toLong)))
+          if (to - from >= cfg.tau) out += ((sid, tids(from), to - from))
           from = to
         }
         out.result()
-    }, preservesPartitioning = true)
+    })
   }
 
   /** One partition's values grouped by key. Shuffles here are
-    * `partitionBy` plus these local steps, not `groupByKey` or `join`:
-    * Spark's closure cleaner parses the class that defines each closure
-    * it cleans, and those operators' closures live in
-    * `PairRDDFunctions`, which costs about 5 ms per operator on the
-    * driver, per request.
+    * `partitionBy` plus these local steps, not `groupByKey` or `join`, whose
+    * closures live in `PairRDDFunctions`: Spark's closure cleaner parses
+    * that class for each, about 5 ms per operator on the driver, per request.
     */
   private def grouped[K, V: ClassTag](records: Iterator[(K, V)]): Iterator[(K, Array[V])] = {
     val groups = mutable.HashMap.empty[K, mutable.ArrayBuilder[V]]
@@ -179,18 +191,17 @@ object SparkJoin {
       selfJoin: Boolean = false,
       precomputedOrder: Option[Map[String, Int]] = None,
   ): DataFrame = {
-    val bk = broadcast(spark, k)
-    val l = idStrings(left)
-    val r = if (selfJoin) l else idStrings(right)
+    val l = side(left)
+    val r = if (selfJoin) l else side(right)
     val order = precomputedOrder.getOrElse(LocalJoin.buildOrder(k,
-      if (selfJoin) texts(left) else texts(left) ++ texts(right), cfg.measures, cfg.q))
-    val cands = overlaps(l, r, bk, broadcast(spark, order), cfg, selfJoin)
-    verified(spark, cands.mapValues(_._1), l, r, bk, cfg)
+      if (selfJoin) l.strings else l.strings ++ r.strings, cfg.measures, cfg.q))
+    val (bs, bk) = (broadcast(spark, l, r), broadcast(spark, k))
+    verified(spark, overlaps(spark, bs, bk, broadcast(spark, order), cfg, selfJoin).map(c => (c._1, c._2)),
+      bs, bk, cfg, selfJoin)
   }
 
-  /** Verification stage: attach strings, then verify each partition's
-    * pairs with `LocalJoin.verifyStage`. Left and right ids get separate
-    * local indices, since a two-collection join's ids may overlap.
+  /** Verification stage over candidates with columns `sid` and `tid`,
+    * which must be ids of `left` and `right`.
     */
   def verify(
       spark: SparkSession,
@@ -200,34 +211,21 @@ object SparkJoin {
       k: Knowledge,
       cfg: LocalJoin.Config,
   ): DataFrame = {
-    val l = idStrings(left)
-    verified(spark, columns(cands, "sid", "tid"), l, if (right eq left) l else idStrings(right),
-      broadcast(spark, k), cfg)
+    val l = side(left)
+    val bs = broadcast(spark, l, if (right eq left) l else side(right))
+    val (sid, tid) = (cands.schema.fieldIndex("sid"), cands.schema.fieldIndex("tid"))
+    val pairs = cands.rdd.map(row => (bs.value._1.position(row.getLong(sid)), bs.value._2.position(row.getLong(tid))))
+    verified(spark, pairs, bs, broadcast(spark, k), cfg, selfJoin = right eq left)
   }
 
-  /** Each side's strings are partitioned once, by the pairs' partitioner
-    * (`join` hands over candidates grouped by `sid`), so attaching the
-    * `sid` strings is a narrow step and attaching the `tid` strings
-    * shuffles only the pairs. One frame on both sides is shuffled once.
+  /** `LocalJoin.verifyStage` over each partition's pairs (positions) as they
+    * arrive; one frame on both sides shares its prepared strings.
     */
-  private def verified(spark: SparkSession, pairs: RDD[(Long, Long)], left: RDD[(Long, String)],
-      right: RDD[(Long, String)], bk: Broadcast[Knowledge.Packed], cfg: LocalJoin.Config): DataFrame = {
-    val part = pairs.partitioner.getOrElse(new HashPartitioner(pairs.getNumPartitions))
-    val byIdL = left.partitionBy(part)
-    val byIdR = if (right eq left) byIdL else right.partitionBy(part)
-    val rows = pairs.partitionBy(part)
-      .zipPartitions(byIdL)(joined(_, _).map { case (sid, (tid, s)) => (tid, (sid, s)) })
-      .partitionBy(part)
-      .zipPartitions(byIdR) { (withS, ts) =>
-        val batch = joined(withS, ts).map { case (tid, ((sid, s), t)) => (sid, tid, s, t) }.toVector
-        val ls = batch.map(r => (r._1, r._3)).distinctBy(_._1)
-        val rs = batch.map(r => (r._2, r._4)).distinctBy(_._1)
-        val li = ls.iterator.map(_._1).zipWithIndex.toMap
-        val ri = rs.iterator.map(_._1).zipWithIndex.toMap
-        LocalJoin.verifyStage(bk.value.knowledge, ls.map(_._2), rs.map(_._2),
-          batch.iterator.map(r => (li(r._1), ri(r._2))), cfg, selfJoin = false)
-          .iterator.map { case (i, j, sim) => Row(ls(i)._1, rs(j)._1, sim) }
-      }
-    pairFrame(spark, rows, "sim", DoubleType)
-  }
+  private def verified(spark: SparkSession, pairs: RDD[(Int, Int)], bs: Broadcast[(Side, Side)],
+      bk: Broadcast[Knowledge.Packed], cfg: LocalJoin.Config, selfJoin: Boolean): DataFrame =
+    pairFrame(spark, pairs.mapPartitions { ps =>
+      val (l, r) = bs.value
+      LocalJoin.verifyStage(bk.value.knowledge, l.strings, r.strings, ps, cfg, selfJoin)
+        .iterator.map { case (i, j, sim) => Row(l.ids(i), r.ids(j), sim) }
+    }, "sim", DoubleType)
 }

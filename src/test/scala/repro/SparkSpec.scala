@@ -7,8 +7,8 @@ import repro.jobs.JobUtil
 
 /** Base for every test: one local-mode SparkSession for the whole run,
   * built by `JobUtil.session` so tests run on the session the jobs and
-  * the benchmark use (broadcast joins off, so joins take the shuffle
-  * path).
+  * the benchmark use (broadcast joins off for SQL joins; `SparkJoin`
+  * plans none).
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup

@@ -237,14 +237,8 @@ class SparkJoinSpec extends SparkSpec {
     }
   }
 
-  test("a self-join runs one job of 5 stages and shuffles its strings once") {
-    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
-    val df = toDF(ds.strings)
-    val order = LocalJoin.buildOrder(k, ds.strings, cfg.measures, cfg.q)
-    // a stage that shuffles the strings writes one record per string;
-    // the signature stage, which reads them too, writes one per key
-    assert(LocalJoin.signatures(k, ds.strings, order, cfg).map(_.length).sum != ds.strings.length)
-    val input = df.rdd.id // Spark memoizes `rdd` per frame, so the join reads this RDD
+  /** The stages of the one job that `run` starts, seen by a `SparkListener`. */
+  private def stagesOf(run: => Unit): Vector[StageInfo] = {
     val sc = spark.sparkContext
     val tag = "repro.test.plan"
     val jobs = new ConcurrentLinkedQueue[SparkListenerJobStart]()
@@ -254,7 +248,7 @@ class SparkJoinSpec extends SparkSpec {
       private var marker = -1 // events reach a listener on one thread, in order
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).map(_.getProperty(tag)) match {
-          case Some("join") => jobs.add(e)
+          case Some("run") => jobs.add(e)
           case Some("marker") => marker = e.jobId
           case _ =>
         }
@@ -264,10 +258,9 @@ class SparkJoinSpec extends SparkSpec {
     }
     sc.addSparkListener(listener)
     try {
-      sc.setLocalProperty(tag, "join")
-      assert(SparkJoin.join(spark, df, df, k, cfg, selfJoin = true,
-        precomputedOrder = Some(order)).collect().nonEmpty)
-      // once the marker job's end has arrived, every event of the join has
+      sc.setLocalProperty(tag, "run")
+      run
+      // once the marker job's end has arrived, every event of the run has
       sc.setLocalProperty(tag, "marker")
       sc.parallelize(Seq(1), 1).count()
       assert(markerDone.await(60, TimeUnit.SECONDS))
@@ -277,11 +270,103 @@ class SparkJoinSpec extends SparkSpec {
     }
     assert(jobs.size == 1)
     val ids = jobs.asScala.flatMap(_.stageIds).toSet
-    val ran = stages.asScala.filter(s => ids(s.stageId)).toVector
-    assert(ran.length == 5, ran.map(_.name))
-    val overInput = ran.filter(_.rddInfos.exists(_.id == input))
-    assert(overInput.length == 2, overInput.map(_.name))
-    assert(overInput.count(_.taskMetrics.shuffleWriteMetrics.recordsWritten == ds.strings.length) == 1,
-      overInput.map(s => s.name -> s.taskMetrics.shuffleWriteMetrics.recordsWritten))
+    stages.asScala.filter(s => ids(s.stageId)).toVector
+  }
+
+  test("self-join in 3 stages, cross-join in 4, no string shuffled") {
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    // the sides of the cross-join share strings, so it has results, at different ids
+    for ((left, right, selfJoin, nStages) <- Seq((ds.strings, ds.strings, true, 3),
+        (ds.strings.take(90), ds.strings.drop(60), false, 4))) {
+      val (l, r) = (toDF(left), toDF(right))
+      val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
+      // a stage that shuffles the strings writes one record per string;
+      // the signature stages write one per key
+      val perString = Set(left.length.toLong, right.length.toLong)
+      for (strings <- Seq(left, right))
+        assert(!perString(LocalJoin.signatures(k, strings, order, cfg).map(_.length.toLong).sum))
+      // Spark memoizes `rdd` per frame, so a join reading a frame's rows in a task reads this RDD
+      val frames = Set(l.rdd.id, r.rdd.id)
+      val ran = stagesOf(assert(SparkJoin.join(spark, l, if (selfJoin) l else r, k, cfg, selfJoin,
+        precomputedOrder = Some(order)).collect().nonEmpty))
+      val written = ran.map(s => s.name -> s.taskMetrics.shuffleWriteMetrics.recordsWritten)
+      assert(ran.length == nStages, written)
+      assert(written.count(_._2 > 0) == nStages - 1, written)
+      assert(!written.exists(w => perString(w._2)), written)
+      assert(!ran.exists(_.rddInfos.exists(i => frames(i.id))), ran.map(_.name))
+    }
+  }
+
+  test("join, candidates and verify reject repeated ids, naming the id") {
+    import spark.implicits._
+    val kk = Knowledge.figure1
+    val cfg = LocalJoin.Config(0.5, 1, SigAlgo.UFilter)
+    val dup = Seq((0L, "coffee shop latte"), (1L, "cafe latte"), (0L, "coffee shop latte"), (2L, "apple cake"))
+      .toDF("id", "str")
+    val ok = toDF(Vector("coffee shop latte", "cafe latte", "apple cake"))
+    val order = SparkJoin.computeOrder(spark, dup, kk) // reads only `str`
+    val cands = SparkJoin.candidates(spark, ok, ok, kk, order, cfg, selfJoin = true)
+    for ((call, clue) <- Seq[(() => DataFrame, String)](
+        (() => SparkJoin.join(spark, dup, dup, kk, cfg, selfJoin = true), "self-join"),
+        (() => SparkJoin.join(spark, ok, dup, kk, cfg), "cross-join, right"),
+        (() => SparkJoin.join(spark, dup, ok, kk, cfg), "cross-join, left"),
+        (() => SparkJoin.candidates(spark, dup, dup, kk, order, cfg, selfJoin = true), "candidates"),
+        (() => SparkJoin.candidates(spark, ok, dup, kk, order, cfg), "cross candidates"),
+        (() => SparkJoin.verify(spark, cands, dup, dup, kk, cfg), "verify"),
+        (() => SparkJoin.verify(spark, cands, ok, dup, kk, cfg), "verify, right"))) {
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains("id 0 occurs more than once"), s"$clue: ${e.getMessage}")
+    }
+    // the two sides of a cross-join may share ids
+    val other = toDF(Vector("cafe latte", "coffee shop latte"))
+    val want = LocalJoin.join(kk, Vector("coffee shop latte", "cafe latte", "apple cake"),
+      Vector("cafe latte", "coffee shop latte"), cfg)._1.map { case (i, j, sim) => bits(i, j, sim) }
+    assert(want.nonEmpty && simBits(SparkJoin.join(spark, ok, other, kk, cfg)) == want.sorted)
+    // a candidate whose id is not in its frame fails the verification
+    val stray = Seq((0L, 99L)).toDF("sid", "tid")
+    val e = intercept[org.apache.spark.SparkException](SparkJoin.verify(spark, stray, ok, ok, kk, cfg).collect())
+    assert(e.getMessage.contains("id 99 is not in the frame"), e.getMessage)
+  }
+
+  test("shuffled, sparse and negative ids give LocalJoin's output by id") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(7L)
+    // distinct ids far apart, of both signs, with both extremes, in random row order
+    def randomIds(n: Int): Vector[Long] =
+      rnd.shuffle(Vector(Long.MinValue, Long.MaxValue) ++ Iterator.continually(rnd.nextLong() / 3).distinct.take(n - 2))
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    // the sides of the cross-join share strings, so it has results, at different ids
+    for ((left, right, selfJoin) <- Seq((ds.strings, ds.strings, true),
+        (ds.strings.take(90), ds.strings.drop(60), false))) {
+      val idsL = randomIds(left.length)
+      val idsR = if (selfJoin) idsL else randomIds(right.length)
+      // the local join runs over each side's strings in id order, its positions mapped to ids by the id table
+      def byId(ids: Vector[Long], strings: IndexedSeq[String]) = ids.indices.sortBy(ids).map(i => (ids(i), strings(i)))
+      val ((tableL, strsL), (tableR, strsR)) = (byId(idsL, left).unzip, byId(idsR, right).unzip)
+      def ided(i: Int, j: Int, v: Long) = (tableL(i), tableR(j), v)
+      val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
+      val sigS = LocalJoin.signatures(k, strsL, order, cfg)
+      val sigT = if (selfJoin) sigS else LocalJoin.signatures(k, strsR, order, cfg)
+      val pairs = LocalJoin.filterStage(sigS, sigT, cfg.tau, selfJoin)._2
+      val wantCands = pairs.map { case (i, j) => ided(i, j, sigS(i).intersect(sigT(j)).length.toLong) }.sorted
+      val wantVerified = LocalJoin.verifyStage(k, strsL, strsR, pairs.iterator, cfg, selfJoin)
+        .map { case (i, j, sim) => ided(i, j, java.lang.Double.doubleToLongBits(sim)) }.sorted
+      val wantJoin = LocalJoin.join(k, strsL, strsR, cfg, selfJoin, precomputedOrder = Some(order))._1
+        .map { case (i, j, sim) => ided(i, j, java.lang.Double.doubleToLongBits(sim)) }.sorted
+      assert(wantCands.nonEmpty && wantJoin.nonEmpty && wantJoin == wantVerified)
+      val plainL = idsL.zip(left).toDF("id", "str")
+      val plainR = idsR.zip(right).toDF("id", "str")
+      for ((l, r, clue) <- Seq((plainL, plainR, "local"),
+          (plainL.repartition(3), plainR.repartition(2), "repartitioned"))) {
+        val rr = if (selfJoin) l else r
+        val cands = SparkJoin.candidates(spark, l, rr, k, order, cfg, selfJoin)
+        assert(cands.collect().map(row => (row.getLong(0), row.getLong(1), row.getLong(2))).toVector.sorted ==
+          wantCands, s"candidates $clue selfJoin=$selfJoin")
+        assert(simBits(SparkJoin.verify(spark, cands.repartition(3), l, rr, k, cfg)) == wantVerified,
+          s"verify $clue selfJoin=$selfJoin")
+        assert(simBits(SparkJoin.join(spark, l, rr, k, cfg, selfJoin, Some(order))) == wantJoin,
+          s"join $clue selfJoin=$selfJoin")
+      }
+    }
   }
 }
