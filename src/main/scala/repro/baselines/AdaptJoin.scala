@@ -21,8 +21,9 @@ object AdaptJoin {
   def sim(s: String, t: String, q: Int = Measures.DefaultQ): Double =
     Measures.jaccard(s.trim.toLowerCase, t.trim.toLowerCase, q)
 
+  /** The string's q-grams, distinct, in first-occurrence order. */
   private def grams(s: String, q: Int): Vector[String] =
-    Tokenizer.qgramList(s.trim.toLowerCase, q)
+    Tokenizer.qgramOccurrences(s.trim.toLowerCase, q).distinct
 
   /** Global rarest-first gram order of a collection. */
   def gramOrder(strings: Iterable[String], q: Int): Map[String, Int] =

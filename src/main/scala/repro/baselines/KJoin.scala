@@ -22,13 +22,11 @@ object KJoin {
 
   /** Signature keys: qualifying ancestors of every entity in the string. */
   def signature(k: Knowledge, s: String, theta: Double): Set[String] = {
-    val toks = Tokenizer.tokens(s)
-    val segs = Segments.wellDefined(k, toks)
     val out = Set.newBuilder[String]
-    for (seg <- segs; n <- k.taxonomy.node(seg.tokens)) {
-      val minDepth = math.max(1, math.ceil(theta * k.taxonomy.depth(n)).toInt)
-      for (a <- k.taxonomy.ancestors(n) if k.taxonomy.depth(a) >= minDepth)
-        out += s"kj:$a"
+    for (path <- PreparedString(k, s).paths if path.nonEmpty) {
+      // the path's node of depth d is path(d − 1)
+      val minDepth = math.max(1, math.ceil(theta * path.length).toInt)
+      for (d <- minDepth to path.length) out += s"kj:${path(d - 1)}"
     }
     out.result()
   }

@@ -45,3 +45,51 @@ object Segments {
     covered.distinct.size == covered.size && covered.sorted == (0 until n).toVector
   }
 }
+
+/** What the knowledge says about each of `segments`, each lookup done
+  * once per segment, on first use: pebble generation (`Pebbles.generate`)
+  * and the verifier's side (`UsimGraph.side`) read the same arrays, each
+  * only what its measures need.
+  */
+class SegmentLookups(val knowledge: Knowledge, val segments: IndexedSeq[Segment]) {
+  private def each[A: scala.reflect.ClassTag](f: Vector[String] => A): Array[A] =
+    segments.iterator.map(s => f(s.tokens)).toArray
+
+  /** The rules with each segment as lhs or rhs, in `Knowledge.rulesTouching` order. */
+  lazy val rules: Array[Seq[Int]] = each(knowledge.rulesTouching)
+
+  /** The rules whose lhs is each segment, in `Knowledge.byLhs` order. */
+  lazy val lhsRules: Array[Array[Int]] = each(knowledge.byLhs.getOrElse(_, Nil).toArray)
+
+  /** The rule sides each segment is, in `rules` order: code 2·rid for
+    * rule rid's lhs, 2·rid + 1 for its rhs, so a segment that is one side
+    * of a rule meets the other side's code `code ^ 1`.
+    */
+  lazy val ruleSides: Array[Array[Int]] = Array.tabulate(segments.length) { si =>
+    val toks = segments(si).tokens
+    rules(si).iterator.flatMap { rid =>
+      val r = knowledge.rule(rid)
+      Iterator(r.lhs, r.rhs).zipWithIndex.collect { case (side, rhs) if side == toks => 2 * rid + rhs }
+    }.toArray
+  }
+
+  /** Each segment's taxonomy node, −1 if it names none. */
+  lazy val nodes: Array[Int] = each(knowledge.taxonomy.byName.getOrElse(_, -1))
+
+  /** Each segment's node with its ancestors, root first (a path of |n| nodes), empty if none. */
+  lazy val paths: Array[Array[Int]] =
+    nodes.map(n => if (n < 0) Array.emptyIntArray else knowledge.taxonomy.ancestors(n).reverse.toArray)
+}
+
+/** One string prepared once per call: its tokens, its well-defined
+  * segments from one `Segments.wellDefined`, and their lookups. The
+  * global order, the signatures (`SignatureContext`) and the verifier's
+  * side (`UsimGraph.side`) of the string all read this one value.
+  */
+final class PreparedString private (k: Knowledge, val tokens: Vector[String])
+    extends SegmentLookups(k, Segments.wellDefined(k, tokens))
+
+object PreparedString {
+  def apply(k: Knowledge, tokens: Vector[String]): PreparedString = new PreparedString(k, tokens)
+  def apply(k: Knowledge, s: String): PreparedString = new PreparedString(k, Tokenizer.tokens(s))
+}

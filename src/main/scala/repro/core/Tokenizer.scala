@@ -17,24 +17,13 @@ object Tokenizer {
   def text(toks: Seq[String]): String = toks.mkString(" ")
 
   /** The multiset-free set of q-grams G(s, q) of a string. */
-  def qgrams(s: String, q: Int): Set[String] = {
-    require(q >= 1, s"q must be >= 1, got $q")
-    if (s.isEmpty) Set.empty
-    else if (s.length <= q) Set(s)
-    else s.sliding(q).toSet
-  }
+  def qgrams(s: String, q: Int): Set[String] = qgramOccurrences(s, q).toSet
 
-  /** q-grams as an ordered list (first occurrence order, distinct). */
-  def qgramList(s: String, q: Int): Vector[String] = {
-    if (s.isEmpty) Vector.empty
-    else if (s.length <= q) Vector(s)
-    else s.sliding(q).toVector.distinct
-  }
-
-  /** q-gram occurrences with multiplicity (|s|−q+1 entries) — what
-    * pebble generation counts: Table 3 weighs "espresso" grams 1/7.
+  /** q-gram occurrences with multiplicity (|s|−q+1 entries), in order —
+    * what pebble generation counts: Table 3 weighs "espresso" grams 1/7.
     */
   def qgramOccurrences(s: String, q: Int): Vector[String] = {
+    require(q >= 1, s"q must be >= 1, got $q")
     if (s.isEmpty) Vector.empty
     else if (s.length <= q) Vector(s)
     else s.sliding(q).toVector

@@ -84,12 +84,12 @@ object UsimGraph {
   }
 
   /** One string's half of every conflict graph it takes part in: its
-    * well-defined segments with what the builder looks up per segment —
-    * q-gram ids (sorted, from `grams`), taxonomy node (−1 if none) and
-    * its path from the root (empty if none), the rules whose lhs is the
-    * segment, the rule sides it is (`ruleSide` codes, in
-    * `Knowledge.rulesTouching` order) — and the coverage masks,
-    * single-token and entity segments derived from them.
+    * well-defined segments with what the builder reads per segment —
+    * q-gram ids (sorted, from `grams`) and its prepared string's
+    * lookups (`SegmentLookups`: taxonomy node, −1 if none, and its path
+    * from the root, empty if none; the rules whose lhs is the segment;
+    * the rule-side codes it is) — and the coverage masks, single-token
+    * and entity segments derived from them.
     */
   final class Side private[UsimGraph] (
       val len: Int,
@@ -132,29 +132,15 @@ object UsimGraph {
     }
   }
 
-  /** Code of rule `rid`'s lhs (`rhs = false`) or rhs as a span: a
-    * segment that is one side of a rule meets the other side's code
-    * `code ^ 1`.
+  /** Prepares a string's side for `build` from its prepared string:
+    * gram ids on `grams`, the lookups shared, once per string instead
+    * of once per pair.
     */
-  private def ruleSide(rid: Int, rhs: Boolean): Int = 2 * rid + (if (rhs) 1 else 0)
-
-  /** Prepares a tokenised string for `build`: segment enumeration, gram
-    * sets and knowledge lookups, done once per string instead of once
-    * per pair.
-    */
-  def side(k: Knowledge, toks: Vector[String], q: Int, grams: GramTable): Side = {
-    require(toks.length <= 64, "strings longer than 64 tokens unsupported")
-    val segs = Segments.wellDefined(k, toks).toArray
-    val nodes = segs.map(s => k.taxonomy.byName.getOrElse(s.tokens, -1))
-    new Side(toks.length, q, grams, segs,
-      segs.map(s => grams.ids(s.text, q)),
-      nodes,
-      nodes.map(n => if (n < 0) Array.emptyIntArray else k.taxonomy.ancestors(n).reverse.toArray),
-      segs.map(s => k.byLhs.getOrElse(s.tokens, Nil).toArray),
-      segs.map(s => k.rulesTouching(s.tokens).iterator.flatMap { rid =>
-        val r = k.rule(rid)
-        Iterator(false, true).filter(rhs => (if (rhs) r.rhs else r.lhs) == s.tokens).map(ruleSide(rid, _))
-      }.toArray))
+  def side(p: PreparedString, q: Int, grams: GramTable): Side = {
+    require(p.tokens.length <= 64, "strings longer than 64 tokens unsupported")
+    val segs = p.segments.toArray
+    new Side(p.tokens.length, q, grams, segs, segs.map(s => grams.ids(s.text, q)),
+      p.nodes, p.paths, p.lhsRules, p.ruleSides)
   }
 
   /** Graph construction of §2.3 from raw token sequences: prepares both
@@ -168,7 +154,7 @@ object UsimGraph {
       q: Int = Measures.DefaultQ,
   ): UsimGraph = {
     val grams = new GramTable
-    build(k, side(k, sToks, q, grams), side(k, tToks, q, grams), measures)
+    build(k, side(PreparedString(k, sToks), q, grams), side(PreparedString(k, tToks), q, grams), measures)
   }
 
   /** Graph construction of §2.3: enumerate candidate segment pairs per

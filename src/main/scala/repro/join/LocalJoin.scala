@@ -44,11 +44,18 @@ object LocalJoin {
       measures: MeasureSet,
       q: Int,
   ): Map[String, Int] =
-    Pebbles.keyOrder(strings.iterator.map(Pebbles.keys(k, _, measures, q)))
+    orderOf(strings.iterator.map(PreparedString(k, _)), measures, q)
+
+  /** The order of prepared strings: each one's pebble keys counted once. */
+  private def orderOf(strings: Iterator[PreparedString], measures: MeasureSet, q: Int): Map[String, Int] =
+    Pebbles.keyOrder(strings.map(Pebbles.generate(_, measures, q).iterator.map(_.key)))
 
   /** One string's signature under `order` and `cfg`. */
   def signature(k: Knowledge, s: String, order: Map[String, Int], cfg: Config): Array[Int] =
-    SignatureContext(k, s, cfg.measures, cfg.q, order).select(cfg.algo, cfg.theta, cfg.tau)
+    signature(PreparedString(k, s), order, cfg)
+
+  private def signature(p: PreparedString, order: Map[String, Int], cfg: Config): Array[Int] =
+    SignatureContext(p, cfg.measures, cfg.q, order).select(cfg.algo, cfg.theta, cfg.tau)
 
   def signatures(
       k: Knowledge,
@@ -126,7 +133,8 @@ object LocalJoin {
 
   /** Full filter-and-verification join. For a self-join pass the same
     * collection twice with `selfJoin = true` (pairs reported with
-    * sId < tId).
+    * sId < tId). Each string is prepared once, and its order keys (when
+    * no order is given), signature and side all read that preparation.
     */
   def join(
       k: Knowledge,
@@ -136,13 +144,16 @@ object LocalJoin {
       selfJoin: Boolean = false,
       precomputedOrder: Option[Map[String, Int]] = None,
   ): (Vector[(Int, Int, Double)], JoinStats) = {
+    val prepS = left.map(PreparedString(k, _))
+    val prepT = if (selfJoin) prepS else right.map(PreparedString(k, _))
     val order = precomputedOrder.getOrElse(
-      buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q))
+      orderOf((if (selfJoin) prepS else prepS ++ prepT).iterator, cfg.measures, cfg.q))
 
-    val sigS = signatures(k, left, order, cfg)
-    val sigT = if (selfJoin) sigS else signatures(k, right, order, cfg)
+    val sigS = prepS.map(signature(_, order, cfg))
+    val sigT = if (selfJoin) sigS else prepT.map(signature(_, order, cfg))
     val (processed, cands) = filterStage(sigS, sigT, cfg.tau, selfJoin)
-    val (out, pruned) = verify(k, left, right, cands.iterator, cfg, selfJoin, bounded = true)
+    val (out, pruned) = verify(k, prepS, prepT, identity[PreparedString], cands.iterator, cfg, selfJoin,
+      bounded = true)
     val avgSig = if (sigS.isEmpty && sigT.isEmpty) 0.0
                  else (sigS.iterator.map(_.size).sum + sigT.iterator.map(_.size).sum).toDouble /
                       (sigS.length + sigT.length)
@@ -150,10 +161,10 @@ object LocalJoin {
   }
 
   /** Verification stage (Lines 9-11 of Algorithm 6): the approximate
-    * USIM of each pair, kept when it reaches θ. Each string's side is
-    * prepared once, on first use, and serves every pair it is in. A pair
-    * whose `UsimBound` is below θ is dropped before its conflict graph
-    * is built.
+    * USIM of each pair, kept when it reaches θ. Each string is prepared,
+    * and its side built, once, on first use, and serves every pair it is
+    * in. A pair whose `UsimBound` is below θ is dropped before its
+    * conflict graph is built.
     */
   def verifyStage(
       k: Knowledge,
@@ -163,27 +174,29 @@ object LocalJoin {
       cfg: Config,
       selfJoin: Boolean,
   ): Vector[(Int, Int, Double)] =
-    verify(k, left, right, pairs, cfg, selfJoin, bounded = true)._1
+    verify(k, left, right, PreparedString(k, _: String), pairs, cfg, selfJoin, bounded = true)._1
 
-  /** `verifyStage`, with the pair bound or without it; also returns how
-    * many pairs the bound pruned. The bound prunes only below θ less
+  /** `verifyStage` over strings that `prepare` turns into prepared
+    * strings, with the pair bound or without it; also returns how many
+    * pairs the bound pruned. The bound prunes only below θ less
     * `UsimBound.Slack`, so it never drops a pair that verification
     * reports.
     */
-  private def verify(
+  private def verify[A](
       k: Knowledge,
-      left: IndexedSeq[String],
-      right: IndexedSeq[String],
+      left: IndexedSeq[A],
+      right: IndexedSeq[A],
+      prepare: A => PreparedString,
       pairs: Iterator[(Int, Int)],
       cfg: Config,
       selfJoin: Boolean,
       bounded: Boolean,
   ): (Vector[(Int, Int, Double)], Long) = {
     val grams = new UsimGraph.GramTable
-    def sides(strings: IndexedSeq[String]): Int => UsimGraph.Side = {
+    def sides(strings: IndexedSeq[A]): Int => UsimGraph.Side = {
       val memo = new Array[UsimGraph.Side](strings.length)
       i => {
-        if (memo(i) == null) memo(i) = UsimGraph.side(k, Tokenizer.tokens(strings(i)), cfg.q, grams)
+        if (memo(i) == null) memo(i) = UsimGraph.side(prepare(strings(i)), cfg.q, grams)
         memo(i)
       }
     }
@@ -216,6 +229,6 @@ object LocalJoin {
   ): Vector[(Int, Int, Double)] = {
     val pairs = for (i <- left.indices.iterator; j <- right.indices.iterator if !selfJoin || i < j)
       yield (i, j)
-    verify(k, left, right, pairs, cfg, selfJoin, bounded = false)._1
+    verify(k, left, right, PreparedString(k, _: String), pairs, cfg, selfJoin, bounded = false)._1
   }
 }

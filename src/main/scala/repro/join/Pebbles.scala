@@ -14,50 +14,49 @@ final case class PebbleInstance(key: String, weight: Double, segIdx: Int, measur
 
 object Pebbles {
 
-  /** All pebble instances of a string's well-defined segments, unsorted.
-    *
-    * Jaccard: each q-gram of segment P, weight 1/|G(P,q)|.
-    * Synonym: lhs(R) for each rule R touching P, weight C(R) — both the
-    * lhs-side and the rhs-side string emit the lhs key so they collide.
-    * Taxonomy: the matched node and all its ancestors, each 1/|n|.
+  /** All pebble instances of `segments`, unsorted: `generate` over
+    * their lookups, made here.
     */
   def generate(
       k: Knowledge,
       segments: IndexedSeq[Segment],
       measures: MeasureSet,
       q: Int,
-  ): Vector[PebbleInstance] = {
+  ): Vector[PebbleInstance] =
+    generate(new SegmentLookups(k, segments), measures, q)
+
+  /** All pebble instances of a string's well-defined segments, unsorted,
+    * by segment, then measure J < S < T.
+    *
+    * Jaccard: each q-gram of segment P, weight 1/|G(P,q)|.
+    * Synonym: lhs(R) for each rule R touching P, weight C(R) — both the
+    * lhs-side and the rhs-side string emit the lhs key so they collide.
+    * Taxonomy: the matched node and all its ancestors, each 1/|n|.
+    */
+  def generate(s: SegmentLookups, measures: MeasureSet, q: Int): Vector[PebbleInstance] = {
     val out = Vector.newBuilder[PebbleInstance]
     var si = 0
-    while (si < segments.length) {
-      val seg = segments(si)
+    while (si < s.segments.length) {
       if (measures.j) {
-        val grams = Tokenizer.qgramOccurrences(seg.text, q)
+        val grams = Tokenizer.qgramOccurrences(s.segments(si).text, q)
         val w = 1.0 / grams.length
         grams.foreach(g => out += PebbleInstance("g:" + g, w, si, 'J'))
       }
       if (measures.s) {
-        for (rid <- k.rulesTouching(seg.tokens)) {
-          val r = k.rule(rid)
+        for (rid <- s.rules(si)) {
+          val r = s.knowledge.rule(rid)
           out += PebbleInstance("s:" + Tokenizer.text(r.lhs), r.c, si, 'S')
         }
       }
       if (measures.t) {
-        for (n <- k.taxonomy.node(seg.tokens)) {
-          val w = 1.0 / k.taxonomy.depth(n)
-          k.taxonomy.ancestors(n).foreach(a => out += PebbleInstance("t:" + a, w, si, 'T'))
-        }
+        val path = s.paths(si) // |n| nodes, so each weighs 1/|n|; emitted node first
+        var a = path.length
+        while (a > 0) { a -= 1; out += PebbleInstance("t:" + path(a), 1.0 / path.length, si, 'T') }
       }
       si += 1
     }
     out.result()
   }
-
-  /** A string's distinct pebble keys: what a global order counts once
-    * per string.
-    */
-  def keys(k: Knowledge, s: String, measures: MeasureSet, q: Int): Set[String] =
-    generate(k, Segments.wellDefined(k, Tokenizer.tokens(s)), measures, q).iterator.map(_.key).toSet
 
   /** Global frequency order over per-string keys, rank 0 = rarest: each
     * key counts once per string that contains it, and keys are ranked by

@@ -19,20 +19,19 @@ object SigAlgo {
   * (Def 4), and the three selection algorithms. Positions are 1-based
   * as in the paper.
   *
-  * Pebbles are keyed by their rank in the global `order`
-  * (`Pebbles.ranksOf`), so signatures are rank arrays. Ranks of two
-  * contexts are comparable only when the order covers both strings'
-  * keys, as `LocalJoin.buildOrder` (which `SparkJoin` calls too) covers
-  * the collection it counts.
+  * Built from a prepared string, its pebbles as `Pebbles.generate` emits
+  * them from that string, and the global `order`. Pebbles are keyed by
+  * their rank in the order (`Pebbles.ranksOf`), so signatures are rank
+  * arrays. Ranks of two contexts are comparable only when the order
+  * covers both strings' keys, as `LocalJoin.buildOrder` (which
+  * `SparkJoin` calls too) covers the collection it counts.
   */
 final class SignatureContext(
-    val tokens: Vector[String],
-    k: Knowledge,
-    measures: MeasureSet,
-    q: Int,
+    val prepared: PreparedString,
+    generated: IndexedSeq[PebbleInstance],
     order: Map[String, Int],
 ) {
-  val segments: Vector[Segment] = Segments.wellDefined(k, tokens)
+  val segments: IndexedSeq[Segment] = prepared.segments
 
   /** B: all pebbles sorted by the global order (Line 1 of Algs 2/4/5),
     * and `ranks(p)` the rank of pebble p's key. `Pebbles.generate` emits
@@ -40,17 +39,16 @@ final class SignatureContext(
     * generation index) breaks ties by (segment, measure).
     */
   val (pebbles: Vector[PebbleInstance], ranks: Array[Int]) = {
-    val gen = Pebbles.generate(k, segments, measures, q)
-    val r = Pebbles.ranksOf(gen.map(_.key), order)
-    val codes = Array.tabulate(gen.length)(p => r(p).toLong << 32 | p)
+    val r = Pebbles.ranksOf(generated.map(_.key), order)
+    val codes = Array.tabulate(generated.length)(p => r(p).toLong << 32 | p)
     java.util.Arrays.sort(codes)
-    (codes.iterator.map(c => gen(c.toInt)).toVector, codes.map(c => (c >>> 32).toInt))
+    (codes.iterator.map(c => generated(c.toInt)).toVector, codes.map(c => (c >>> 32).toInt))
   }
 
   val n: Int = pebbles.length
 
   /** m = GetMinPartitionSize(S). */
-  val m: Int = MinPartition.size(segments, tokens.length)
+  val m: Int = MinPartition.size(segments, prepared.tokens.length)
 
   // -------------------------------------------------------------- groups
 
@@ -301,13 +299,7 @@ final class SignatureContext(
 
 object SignatureContext {
 
-  /** The context of a raw string, as the joins and the τ estimator build it. */
-  def apply(
-      k: Knowledge,
-      s: String,
-      measures: MeasureSet = MeasureSet.TJS,
-      q: Int = Measures.DefaultQ,
-      order: Map[String, Int] = Map.empty,
-  ): SignatureContext =
-    new SignatureContext(Tokenizer.tokens(s), k, measures, q, order)
+  /** The context of `p` with its pebbles under `measures` and `q`. */
+  def apply(p: PreparedString, measures: MeasureSet, q: Int, order: Map[String, Int]): SignatureContext =
+    new SignatureContext(p, Pebbles.generate(p, measures, q), order)
 }

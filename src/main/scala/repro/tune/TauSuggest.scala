@@ -58,7 +58,7 @@ object TauSuggest {
     val sigCache = new Array[Array[Array[Int]]](strings.length)
     def sigsOf(i: Int): Array[Array[Int]] = {
       if (sigCache(i) == null) {
-        val ctx = SignatureContext(k, strings(i), cfg.measures, cfg.q, order)
+        val ctx = SignatureContext(PreparedString(k, strings(i)), cfg.measures, cfg.q, order)
         sigCache(i) = universe.iterator.map(tau => ctx.select(cfg.algo, cfg.theta, tau)).toArray
       }
       sigCache(i)

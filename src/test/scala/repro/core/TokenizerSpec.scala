@@ -51,11 +51,13 @@ class TokenizerSpec extends AnyFunSuite with PropHelpers {
 
   test("qgrams rejects q < 1") {
     intercept[IllegalArgumentException](Tokenizer.qgrams("abc", 0))
+    intercept[IllegalArgumentException](Tokenizer.qgramOccurrences("", 0))
+    intercept[IllegalArgumentException](Tokenizer.qgramOccurrences("ab", 0))
   }
 
-  test("qgramList keeps first-occurrence order, distinct") {
-    assert(Tokenizer.qgramList("aaaa", 2) == Vector("aa"))
-    assert(Tokenizer.qgramList("abab", 2) == Vector("ab", "ba"))
+  test("distinct qgramOccurrences keep first-occurrence order") {
+    assert(Tokenizer.qgramOccurrences("aaaa", 2).distinct == Vector("aa"))
+    assert(Tokenizer.qgramOccurrences("abab", 2).distinct == Vector("ab", "ba"))
   }
 
   test("property: every q-gram has length <= q") {

@@ -17,8 +17,8 @@ class UsimBoundSpec extends AnyFunSuite {
   private def sims(k: Knowledge, s: String, t: String, m: MeasureSet,
       q: Int = Measures.DefaultQ): (Double, Double, Option[Double]) = {
     val grams = new UsimGraph.GramTable
-    val sideS = UsimGraph.side(k, Tokenizer.tokens(s), q, grams)
-    val sideT = UsimGraph.side(k, Tokenizer.tokens(t), q, grams)
+    val sideS = UsimGraph.side(PreparedString(k, Tokenizer.tokens(s)), q, grams)
+    val sideT = UsimGraph.side(PreparedString(k, Tokenizer.tokens(t)), q, grams)
     val g = UsimGraph.build(k, sideS, sideT, m)
     val exact = if (g.size <= Usim.ExactVertexCap) Some(Usim.exactOnGraph(g)) else None
     (new UsimBound(k, m)(sideS, sideT), Usim.approxOnGraph(g)._1, exact)

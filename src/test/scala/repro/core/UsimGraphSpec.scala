@@ -173,9 +173,9 @@ class UsimGraphSpec extends AnyFunSuite {
     def check(k: Knowledge, left: IndexedSeq[String], right: IndexedSeq[String],
         pairs: Iterator[(Int, Int)], ms: Seq[MeasureSet]): Int = {
       val grams = new UsimGraph.GramTable
-      val sl = left.map(s => UsimGraph.side(k, toks(s), Measures.DefaultQ, grams))
+      val sl = left.map(s => UsimGraph.side(PreparedString(k, toks(s)), Measures.DefaultQ, grams))
       val sr = if (right eq left) sl
-               else right.map(s => UsimGraph.side(k, toks(s), Measures.DefaultQ, grams))
+               else right.map(s => UsimGraph.side(PreparedString(k, toks(s)), Measures.DefaultQ, grams))
       var n = 0
       for ((i, j) <- pairs; m <- ms) {
         val want = dump(PerPairBuild.build(k, toks(left(i)), toks(right(j)), m))
@@ -206,8 +206,8 @@ class UsimGraphSpec extends AnyFunSuite {
 
   test("sides from two gram tables are rejected") {
     val k = Knowledge.figure1
-    val a = UsimGraph.side(k, Tokenizer.tokens("latte cake"), Measures.DefaultQ, new UsimGraph.GramTable)
-    val b = UsimGraph.side(k, Tokenizer.tokens("espresso"), Measures.DefaultQ, new UsimGraph.GramTable)
+    val a = UsimGraph.side(PreparedString(k, "latte cake"), Measures.DefaultQ, new UsimGraph.GramTable)
+    val b = UsimGraph.side(PreparedString(k, "espresso"), Measures.DefaultQ, new UsimGraph.GramTable)
     intercept[IllegalArgumentException](UsimGraph.build(k, a, b, MeasureSet.TJS))
   }
 }

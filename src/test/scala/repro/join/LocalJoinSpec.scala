@@ -167,7 +167,7 @@ class LocalJoinSpec extends AnyFunSuite {
       val strings = TextGen.joinDataset(ctx, n = 100, seed = seed).strings
       val order = LocalJoin.buildOrder(ctx.knowledge, strings, MeasureSet.TJS, 2)
       val contexts = strings.map(s =>
-        new SignatureContext(Tokenizer.tokens(s), ctx.knowledge, MeasureSet.TJS, 2, order))
+        SignatureContext(PreparedString(ctx.knowledge, s), MeasureSet.TJS, 2, order))
       for (algo <- Seq(SigAlgo.AUHeuristic, SigAlgo.AUDp); sigTau <- taus) {
         val lens = contexts.map(c => if (algo == SigAlgo.AUDp) c.auDp(0.75, sigTau)
                                      else c.auHeuristic(0.75, sigTau))
@@ -197,6 +197,31 @@ class LocalJoinSpec extends AnyFunSuite {
       same(sigS, sigT, order, selfJoin = false, what)
       same(sigT, sigS, order, selfJoin = false, what)
     }
+  }
+
+  test("a join that builds its order equals the join given buildOrder's order, stats included") {
+    def bits(v: Vector[(Int, Int, Double)]) =
+      v.map { case (i, j, sim) => (i, j, java.lang.Double.doubleToLongBits(sim)) }
+    var results = 0
+    for ((kind, theta) <- Seq(TextGen.MedLite -> 0.75, TextGen.WikiLite -> 0.8)) {
+      val ctx = TextGen.context(kind, 3L)
+      val strings = TextGen.joinDataset(ctx, n = 100, seed = 3L).strings
+      val (left, right) = (strings.take(60), strings.drop(40))
+      for (algo <- SigAlgo.all; tau <- Seq(1, 4)) {
+        val cfg = LocalJoin.Config(theta, tau, algo)
+        for ((l, r, selfJoin) <- Seq((strings, strings, true), (left, right, false))) {
+          val counted = if (selfJoin) l else l ++ r
+          val order = LocalJoin.buildOrder(ctx.knowledge, counted, cfg.measures, cfg.q)
+          val (got, gotStats) = LocalJoin.join(ctx.knowledge, l, r, cfg, selfJoin)
+          val (want, wantStats) = LocalJoin.join(ctx.knowledge, l, r, cfg, selfJoin, Some(order))
+          val what = s"${kind.name} ${algo.label} τ=$tau selfJoin=$selfJoin"
+          assert(bits(got) == bits(want), what)
+          assert(gotStats == wantStats, what)
+          results += got.length
+        }
+      }
+    }
+    assert(results > 0)
   }
 
   test("avgSignatureLen averages the non-empty side of a cross-join") {

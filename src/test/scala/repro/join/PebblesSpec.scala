@@ -79,7 +79,7 @@ class PebblesSpec extends AnyFunSuite {
     // SignatureContext.pebbles is B: the order's ranks first, keys the
     // order lacks after them, alphabetically
     def keys(order: Map[String, Int]) =
-      new SignatureContext(Vector("coffee"), k, MeasureSet.J, Measures.DefaultQ, order)
+      SignatureContext(PreparedString(k, Vector("coffee")), MeasureSet.J, Measures.DefaultQ, order)
         .pebbles.map(_.key)
     assert(keys(Map("g:ff" -> 0, "g:co" -> 1, "g:of" -> 2, "g:fe" -> 3, "g:ee" -> 4)) ==
       Vector("g:ff", "g:co", "g:of", "g:fe", "g:ee"))
@@ -95,7 +95,7 @@ class PebblesSpec extends AnyFunSuite {
       val order = LocalJoin.buildOrder(kk, strings, MeasureSet.TJS, 2)
       for ((s, o) <- strings.map(_ -> order) ++ strings.take(10).map(_ -> Map.empty[String, Int])) {
         val toks = Tokenizer.tokens(s)
-        val c = new SignatureContext(toks, kk, MeasureSet.TJS, 2, o)
+        val c = SignatureContext(PreparedString(kk, toks), MeasureSet.TJS, 2, o)
         val want = Pebbles.generate(kk, Segments.wellDefined(kk, toks), MeasureSet.TJS, 2)
           .sortBy(p => (o.getOrElse(p.key, Int.MaxValue), p.key, p.segIdx, p.measure))
         assert(c.pebbles == want, s"${kind.name} seed $seed: $s")

@@ -30,7 +30,7 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
     val rng = new scala.util.Random(seed)
     val cls = Seq("S", "J", "T", "JS", "TS", "TJ", "TJS")(rng.nextInt(7))
     val (s, _, _) = TextGen.plantPair(gctx, cls, rng)
-    new SignatureContext(Tokenizer.tokens(s), gctx.knowledge, MeasureSet.TJS, 2, Map.empty)
+    SignatureContext(PreparedString(gctx.knowledge, s), MeasureSet.TJS, 2, Map.empty)
   }
 
   test("property: AS(i) matches the naive Def-4 computation at every i") {
@@ -125,7 +125,7 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
       for (ms <- Seq(MeasureSet.TJS, MeasureSet.TS)) {
         val order = LocalJoin.buildOrder(ctx.knowledge, strings, ms, 2)
         for (s <- strings) {
-          val c = new SignatureContext(Tokenizer.tokens(s), ctx.knowledge, ms, 2, order)
+          val c = SignatureContext(PreparedString(ctx.knowledge, s), ms, 2, order)
           for (theta <- Seq(0.6, 0.8, 0.9, 1.0); tau <- Seq(2, 3, 4, 6, 8))
             assert(c.auDp(theta, tau) == referenceAuDp(c, theta, tau),
               s"${kind.name} seed $seed θ=$theta τ=$tau: $s")
@@ -147,8 +147,10 @@ class SignatureInternalsSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("signature of a string is stable across repeated context builds") {
-    val c1 = SignatureContext(gctx.knowledge, "alpha beta gamma")
-    val c2 = SignatureContext(gctx.knowledge, "alpha beta gamma")
+    val c1 = SignatureContext(PreparedString(gctx.knowledge, "alpha beta gamma"),
+      MeasureSet.TJS, Measures.DefaultQ, Map.empty)
+    val c2 = SignatureContext(PreparedString(gctx.knowledge, "alpha beta gamma"),
+      MeasureSet.TJS, Measures.DefaultQ, Map.empty)
     assert(c1.pebbles == c2.pebbles)
     assert(c1.select(SigAlgo.AUDp, 0.8, 3).toSeq == c2.select(SigAlgo.AUDp, 0.8, 3).toSeq)
   }

@@ -12,7 +12,7 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
 
   private def ctx(s: String, m: MeasureSet = MeasureSet.TJS,
                   order: Map[String, Int] = Map.empty): SignatureContext =
-    new SignatureContext(Tokenizer.tokens(s), k, m, Measures.DefaultQ, order)
+    SignatureContext(PreparedString(k, s), m, Measures.DefaultQ, order)
 
   /** An alphabetical order over the strings' TJS keys: each string's
     * pebbles sort as with `Map.empty`, and their ranks are comparable.
@@ -71,7 +71,7 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
   test("unsatisfiable θ gives an empty signature") {
     // a string with no knowledge: AS(1) = #tokens = m exactly; raising the
     // bar above AS(1) means no prefix can certify θ.
-    val c = new SignatureContext(Vector("zz"), Knowledge.empty, MeasureSet.S,
+    val c = SignatureContext(PreparedString(Knowledge.empty, Vector("zz")), MeasureSet.S,
       2, Map.empty)
     assert(c.n == 0 && c.uFilter(0.9) == 0)
   }
@@ -104,7 +104,7 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
       val rng = new scala.util.Random(seed)
       val cls = Seq("S", "J", "T", "JS", "TS", "TJ", "TJS")(rng.nextInt(7))
       val (s, _, _) = TextGen.plantPair(gctx, cls, rng)
-      val c = new SignatureContext(Tokenizer.tokens(s), gctx.knowledge,
+      val c = SignatureContext(PreparedString(gctx.knowledge, s),
         MeasureSet.TJS, 2, Map.empty)
       for (tau <- Seq(2, 3, 4); theta <- Seq(0.75, 0.85))
         assert(c.auDp(theta, tau) <= c.auHeuristic(theta, tau),
@@ -152,8 +152,8 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
       val sim = Usim.approx(gctx.knowledge, p.s, p.t)
       if (sim >= theta) {
         val order = alphabetical(gctx.knowledge, p.s, p.t)
-        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, order)
-        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, order)
+        val cs = SignatureContext(PreparedString(gctx.knowledge, p.s), MeasureSet.TJS, 2, order)
+        val ct = SignatureContext(PreparedString(gctx.knowledge, p.t), MeasureSet.TJS, 2, order)
         val shared = cs.select(SigAlgo.UFilter, theta, 1) intersect ct.select(SigAlgo.UFilter, theta, 1)
         assert(shared.nonEmpty, s"no overlap for similar pair: '${p.s}' / '${p.t}' sim=$sim")
         checked += 1
@@ -176,8 +176,8 @@ class SignaturesSpec extends AnyFunSuite with PropHelpers {
       val sim = Usim.approx(gctx.knowledge, p.s, p.t)
       if (sim >= theta) {
         val order = alphabetical(gctx.knowledge, p.s, p.t)
-        val cs = new SignatureContext(Tokenizer.tokens(p.s), gctx.knowledge, MeasureSet.TJS, 2, order)
-        val ct = new SignatureContext(Tokenizer.tokens(p.t), gctx.knowledge, MeasureSet.TJS, 2, order)
+        val cs = SignatureContext(PreparedString(gctx.knowledge, p.s), MeasureSet.TJS, 2, order)
+        val ct = SignatureContext(PreparedString(gctx.knowledge, p.t), MeasureSet.TJS, 2, order)
         val fullShared = (cs.signature(cs.n) intersect ct.signature(ct.n)).size
         val shared = cs.select(algo, theta, tau) intersect ct.select(algo, theta, tau)
         assert(shared.size >= math.min(tau, fullShared),

@@ -83,7 +83,7 @@ class TauSuggestSpec extends AnyFunSuite {
     for (_ <- 1 to iters) {
       val ids = ds.strings.indices.filter(_ => rng.nextDouble() < ps)
       for (tau <- universe) {
-        val sigs = ids.map(i => new SignatureContext(Tokenizer.tokens(ds.strings(i)), k,
+        val sigs = ids.map(i => SignatureContext(PreparedString(k, ds.strings(i)),
           dpCfg.measures, dpCfg.q, order).select(dpCfg.algo, dpCfg.theta, tau))
         val (processed, cands) = LocalJoin.filterStage(sigs, sigs, tau, selfJoin = true)
         t(tau).add(BernoulliEstimator.scale(processed.toDouble, ps, ps))
