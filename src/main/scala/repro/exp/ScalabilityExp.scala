@@ -9,11 +9,12 @@ import repro.join._
   * into suggestion / filtering / verification, across dataset sizes.
   *
   * Filtering time = materialising the candidate DataFrame (persisted
-  * count of `SparkJoin.candidates`: the rank grouping and the per-`sid`
-  * overlap count); verification = `SparkJoin.verify` over the persisted
+  * count of `SparkJoin.candidates`: the signature job, `LocalJoin`'s
+  * index built on the driver and broadcast, and the probe job's
+  * τ-overlap count); verification = `SparkJoin.verify` over the persisted
   * candidates (`LocalJoin.verifyStage` per partition on the broadcast
-  * strings, no shuffle). Each shuffle takes its input's partition count,
-  * so the session's shuffle-partition setting does not enter either time.
+  * strings). Neither shuffles, so the session's shuffle-partition
+  * setting does not enter either time.
   * Suggestion runs Algorithm 7 on the driver over the same strings (its
   * samples are ~ps·n strings — independent of join size, which Table 10
   * confirms).

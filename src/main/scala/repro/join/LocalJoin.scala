@@ -68,14 +68,8 @@ object LocalJoin {
   /** Filtering stage only (Lines 1-8 of Algorithm 6): returns
     * (T_τ processed pairs, candidate pair list sorted by (i, j)). Used
     * by the full join, the τ estimator, the cost calibration and the
-    * baselines.
-    *
-    * Signatures are sorted, distinct rank arrays. The inverted lists
-    * over T's signatures (S's in a self-join) are arrays indexed by
-    * rank, each list ascending. Each S string walks its keys' lists —
-    * in a self-join only the entries above it — counting shared keys
-    * per T string; T_τ is the number of entries walked, Σ C(|L|, 2) for
-    * a self-join and Σ |Ls|·|Lt| otherwise.
+    * baselines; `SparkJoin` runs the same [[Index]] and probe, split
+    * over tasks.
     */
   def filterStage(
       sigS: IndexedSeq[Array[Int]],
@@ -83,52 +77,89 @@ object LocalJoin {
       tau: Int,
       selfJoin: Boolean,
   ): (Long, Vector[(Int, Int)]) = {
-    val indexed = if (selfJoin) sigS else sigT
+    val out = Vector.newBuilder[(Int, Int)]
+    val processed = index(if (selfJoin) sigS else sigT).probe(sigS, sigS.indices, tau, selfJoin) {
+      (i, j, _) => out += ((i, j))
+    }
+    (processed, out.result())
+  }
+
+  /** Receives a candidate pair (i, j) and the number of signature keys
+    * the two strings share.
+    */
+  trait Candidate {
+    def apply(i: Int, j: Int, overlap: Int): Unit
+  }
+
+  /** The inverted lists over a collection of signatures (sorted,
+    * distinct rank arrays), as arrays indexed by rank: the list of rank
+    * r is `ids(start(r) until start(r + 1))`, the positions of the
+    * signatures holding r, ascending.
+    */
+  final class Index private[LocalJoin] (start: Array[Int], ids: Array[Int], size: Int) extends Serializable {
+
+    /** Lines 1-8 of Algorithm 6 for the S strings at `positions`: each
+      * walks its keys' lists, in a self-join only the entries above its
+      * position, counting shared keys per indexed string, and passes
+      * each pair sharing at least τ keys to `emit`, in (i, j) order for
+      * ascending `positions`. Returns T_τ, the number of entries walked:
+      * over all of S, Σ C(|L|, 2) for a self-join and Σ |Ls|·|Lt|
+      * otherwise. In a self-join, `sigS` must be the indexed signatures.
+      */
+    def probe(sigS: IndexedSeq[Array[Int]], positions: Range, tau: Int, selfJoin: Boolean)(
+        emit: Candidate): Long = {
+      val start = this.start // locals for the loop
+      val ids = this.ids
+      val maxRank = start.length - 2
+      val count = new Array[Int](size)
+      val touched = new Array[Int](size)
+      var processed = 0L
+      var y = 0
+      while (y < positions.length) {
+        val i = positions(y)
+        val sig = sigS(i)
+        var nTouched = 0
+        var x = 0
+        while (x < sig.length) {
+          val r = sig(x)
+          if (r <= maxRank) {
+            val lo = start(r)
+            var p = start(r + 1) - 1
+            while (p >= lo && (!selfJoin || ids(p) > i)) {
+              val j = ids(p)
+              if (count(j) == 0) { touched(nTouched) = j; nTouched += 1 }
+              count(j) += 1
+              p -= 1
+            }
+            processed += start(r + 1) - 1 - p
+          }
+          x += 1
+        }
+        java.util.Arrays.sort(touched, 0, nTouched)
+        var t = 0
+        while (t < nTouched) {
+          val j = touched(t)
+          if (count(j) >= tau) emit(i, j, count(j))
+          count(j) = 0
+          t += 1
+        }
+        y += 1
+      }
+      processed
+    }
+  }
+
+  /** The [[Index]] over `sigs`. */
+  def index(sigs: IndexedSeq[Array[Int]]): Index = {
     var maxRank = -1
-    for (sig <- indexed; r <- sig) if (r > maxRank) maxRank = r
-    // list of rank r: ids(start(r) until start(r + 1))
+    for (sig <- sigs; r <- sig) if (r > maxRank) maxRank = r
     val start = new Array[Int](maxRank + 2)
-    for (sig <- indexed; r <- sig) start(r + 1) += 1
+    for (sig <- sigs; r <- sig) start(r + 1) += 1
     for (r <- 1 until start.length) start(r) += start(r - 1)
     val ids = new Array[Int](start(start.length - 1))
     val fill = java.util.Arrays.copyOf(start, start.length)
-    for (j <- indexed.indices; r <- indexed(j)) { ids(fill(r)) = j; fill(r) += 1 }
-
-    val count = new Array[Int](indexed.length)
-    val touched = new Array[Int](indexed.length)
-    var processed = 0L
-    val out = Vector.newBuilder[(Int, Int)]
-    var i = 0
-    while (i < sigS.length) {
-      val sig = sigS(i)
-      var nTouched = 0
-      var x = 0
-      while (x < sig.length) {
-        val r = sig(x)
-        if (r <= maxRank) {
-          val lo = start(r)
-          var p = start(r + 1) - 1
-          while (p >= lo && (!selfJoin || ids(p) > i)) {
-            val j = ids(p)
-            if (count(j) == 0) { touched(nTouched) = j; nTouched += 1 }
-            count(j) += 1
-            p -= 1
-          }
-          processed += start(r + 1) - 1 - p
-        }
-        x += 1
-      }
-      java.util.Arrays.sort(touched, 0, nTouched)
-      var t = 0
-      while (t < nTouched) {
-        val j = touched(t)
-        if (count(j) >= tau) out += ((i, j))
-        count(j) = 0
-        t += 1
-      }
-      i += 1
-    }
-    (processed, out.result())
+    for (j <- sigs.indices; r <- sigs(j)) { ids(fill(r)) = j; fill(r) += 1 }
+    new Index(start, ids, sigs.length)
   }
 
   /** Full filter-and-verification join. For a self-join pass the same

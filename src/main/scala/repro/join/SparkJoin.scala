@@ -1,9 +1,7 @@
 package repro.join
 
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
-import scala.reflect.ClassTag
-import org.apache.spark.HashPartitioner
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -13,15 +11,17 @@ import repro.core._
 /** Distributed unified set join (Algorithms 3/6 as a Spark dataflow).
   *
   * DataFrames in and out, RDD steps inside: no query is planned per
-  * request, every shuffle takes its parent's partition count and shuffles
-  * primitive records only. Spark does the pairwise work only (signatures,
-  * candidates, verification), calling the code `LocalJoin` runs over the
-  * knowledge broadcast in its packed form (`Knowledge.Packed`); the
+  * request and no step shuffles. Spark does the pairwise work only
+  * (signatures, candidates, verification), calling the code `LocalJoin`
+  * runs over the knowledge broadcast in its packed form
+  * (`Knowledge.Packed`, once per knowledge and `SparkContext`); the
   * frequency order is `LocalJoin.buildOrder` on the driver and ships as a
   * [[SparkJoin.PackedOrder]]. Each call collects its frames once on the
-  * driver and broadcasts their strings once. Input frames carry columns
-  * `id` (LONG, distinct within a frame) and `str` (STRING), read by name;
-  * other columns are ignored.
+  * driver and broadcasts their strings once; one job computes the
+  * signatures, collected to the driver, which builds `LocalJoin`'s index
+  * and broadcasts it, and a second job probes it and verifies. Input
+  * frames carry columns `id` (LONG, distinct within a frame) and `str`
+  * (STRING), read by name; other columns are ignored.
   */
 object SparkJoin {
 
@@ -51,7 +51,7 @@ object SparkJoin {
   }
 
   /** A frame's ids ascending, each string at its id's position. The steps
-    * shuffle positions, so a self-join's pairs i < j are its sid < tid.
+    * work on positions, so a self-join's pairs i < j are its sid < tid.
     */
   private final class Side(val ids: Array[Long], val strings: IndexedSeq[String]) extends Serializable {
     def position(id: Long): Int = {
@@ -70,14 +70,27 @@ object SparkJoin {
     new Side(rows.map(_.getLong(id)), ArraySeq.unsafeWrapArray(rows.map(_.getString(str))))
   }
 
-  /** Every knowledge broadcast: tasks read `bk.value.knowledge`, rebuilt
-    * once per broadcast in each JVM.
+  /** Each knowledge instance's broadcast and the context it was made in,
+    * weakly keyed: `Knowledge` compares by identity, and no value refers
+    * to its key (a packed value that kept its source would make Spark's
+    * size estimate walk the whole object graph again), so an unreachable
+    * knowledge frees its entry, and Spark's cleaner then frees the
+    * broadcast.
     */
-  private def broadcast(spark: SparkSession, k: Knowledge): Broadcast[Knowledge.Packed] =
-    spark.sparkContext.broadcast(Knowledge.Packed(k))
+  private val shipped = new java.util.WeakHashMap[Knowledge, (SparkContext, Broadcast[Knowledge.Packed])]
 
-  private def broadcast(spark: SparkSession, order: Map[String, Int]): Broadcast[PackedOrder] =
-    spark.sparkContext.broadcast(PackedOrder(order))
+  /** Every knowledge broadcast: `k` packed once per `SparkContext`, made
+    * again when the context differs or has stopped. Tasks read
+    * `bk.value.knowledge`, rebuilt once per broadcast in each JVM.
+    */
+  private def broadcast(spark: SparkSession, k: Knowledge): Broadcast[Knowledge.Packed] = shipped.synchronized {
+    val (sc, s) = (spark.sparkContext, shipped.get(k))
+    if (s != null && (s._1 eq sc) && !sc.isStopped) s._2
+    else { val b = sc.broadcast(Knowledge.Packed(k)); shipped.put(k, (sc, b)); b }
+  }
+
+  /** The id of `k`'s broadcast in `spark`'s context. */
+  private[join] def knowledgeBroadcastId(spark: SparkSession, k: Knowledge): Long = broadcast(spark, k).id
 
   /** Both sides in one broadcast; a frame on both sides ships once. */
   private def broadcast(spark: SparkSession, left: Side, right: Side): Broadcast[(Side, Side)] =
@@ -101,22 +114,26 @@ object SparkJoin {
     spark.createDataFrame(rows, StructType(Seq(StructField("sid", LongType, nullable = false),
       StructField("tid", LongType, nullable = false), StructField(value, tpe, nullable = false))))
 
-  /** (`rank`, position) for each key of each string's signature, over
-    * min(n, `defaultParallelism`) partitions, as a local frame's `rdd` has.
+  /** Tasks for n positions: min(n, `defaultParallelism`), at least one. */
+  private def tasks(spark: SparkSession, n: Int): Int =
+    math.max(1, math.min(n, spark.sparkContext.defaultParallelism))
+
+  /** Each string's signature, left's then right's (a self-join: left's
+    * only), from one job over ranges of positions, collected.
     */
-  private def signatures(spark: SparkSession, bs: Broadcast[(Side, Side)], side: ((Side, Side)) => Side,
-      bk: Broadcast[Knowledge.Packed], bo: Broadcast[PackedOrder], cfg: LocalJoin.Config): RDD[(Int, Int)] = {
-    val sc = spark.sparkContext
-    val n = side(bs.value).strings.length
-    sc.parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism))).flatMap { i =>
-      LocalJoin.signature(bk.value.knowledge, side(bs.value).strings(i), bo.value.order, cfg).iterator.map((_, i))
-    }
+  private def signatures(spark: SparkSession, bs: Broadcast[(Side, Side)], bk: Broadcast[Knowledge.Packed],
+      order: Map[String, Int], cfg: LocalJoin.Config, selfJoin: Boolean): (Array[Array[Int]], Array[Array[Int]]) = {
+    val nL = bs.value._1.strings.length
+    val n = if (selfJoin) nL else nL + bs.value._2.strings.length
+    val bo = spark.sparkContext.broadcast(PackedOrder(order))
+    spark.sparkContext.parallelize(0 until n, tasks(spark, n)).map { p =>
+      val (l, r) = bs.value
+      LocalJoin.signature(bk.value.knowledge, if (p < nL) l.strings(p) else r.strings(p - nL), bo.value.order, cfg)
+    }.collect().splitAt(nL)
   }
 
   /** Candidate pairs (`sid`, `tid`, `overlap`) sharing ≥ τ signature
-    * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3). A
-    * signature is a set of keys, so each shared key pairs two strings
-    * once: a `tid`'s run in `sid`'s sorted partners is their overlap.
+    * pebbles — Lines 1-8 of Algorithm 6 (τ = 1 gives Algorithm 3).
     */
   def candidates(
       spark: SparkSession,
@@ -129,56 +146,28 @@ object SparkJoin {
   ): DataFrame = {
     val l = side(left)
     val bs = broadcast(spark, l, if (selfJoin) l else side(right))
-    pairFrame(spark, overlaps(spark, bs, broadcast(spark, k), broadcast(spark, order), cfg, selfJoin)
+    pairFrame(spark, overlaps(spark, bs, broadcast(spark, k), order, cfg, selfJoin)
       .map { case (s, t, n) => Row(bs.value._1.ids(s), bs.value._2.ids(t), n.toLong) }, "overlap", LongType)
   }
 
-  /** (`sid`, `tid`, `overlap`) by position, grouped by `sid`. */
+  /** (`sid`, `tid`, `overlap`) by position: the signatures are collected
+    * and `LocalJoin`'s index over T's (S's in a self-join) is built on
+    * the driver and broadcast with S's; task p then probes S's positions
+    * p, p + P, … (P tasks, interleaved so that a self-join's tasks, whose
+    * partners lie above their positions, get even shares).
+    */
   private def overlaps(spark: SparkSession, bs: Broadcast[(Side, Side)], bk: Broadcast[Knowledge.Packed],
-      bo: Broadcast[PackedOrder], cfg: LocalJoin.Config, selfJoin: Boolean): RDD[(Int, Int, Int)] = {
-    val sigL = signatures(spark, bs, _._1, bk, bo, cfg)
-    val pairs = if (selfJoin) sigL.partitionBy(new HashPartitioner(sigL.getNumPartitions))
-      .mapPartitions(grouped(_).flatMap { case (_, ps) =>
-        java.util.Arrays.sort(ps)
-        for (x <- ps.indices.iterator; y <- Iterator.range(x + 1, ps.length)) yield (ps(x), ps(y))
-      })
-    else {
-      val sigR = signatures(spark, bs, _._2, bk, bo, cfg)
-      val byRank = new HashPartitioner(math.max(sigL.getNumPartitions, sigR.getNumPartitions))
-      sigL.partitionBy(byRank).zipPartitions(sigR.partitionBy(byRank))(joined(_, _).map(_._2))
+      order: Map[String, Int], cfg: LocalJoin.Config, selfJoin: Boolean): RDD[(Int, Int, Int)] = {
+    val (sigS, sigT) = signatures(spark, bs, bk, order, cfg, selfJoin)
+    val probe = spark.sparkContext.broadcast(
+      (ArraySeq.unsafeWrapArray(sigS), LocalJoin.index(ArraySeq.unsafeWrapArray(if (selfJoin) sigS else sigT))))
+    val n = tasks(spark, sigS.length)
+    spark.sparkContext.parallelize(0 until n, n).flatMap { p =>
+      val (sigs, index) = probe.value
+      val out = Vector.newBuilder[(Int, Int, Int)]
+      index.probe(sigs, p until sigs.length by n, cfg.tau, selfJoin)((i, j, overlap) => out += ((i, j, overlap)))
+      out.result()
     }
-    pairs.partitionBy(new HashPartitioner(pairs.getNumPartitions)).mapPartitions(grouped(_).flatMap {
-      case (sid, tids) =>
-        java.util.Arrays.sort(tids)
-        val out = Vector.newBuilder[(Int, Int, Int)]
-        var from = 0
-        while (from < tids.length) {
-          var to = from + 1
-          while (to < tids.length && tids(to) == tids(from)) to += 1
-          if (to - from >= cfg.tau) out += ((sid, tids(from), to - from))
-          from = to
-        }
-        out.result()
-    })
-  }
-
-  /** One partition's values grouped by key. Shuffles here are
-    * `partitionBy` plus these local steps, not `groupByKey` or `join`, whose
-    * closures live in `PairRDDFunctions`: Spark's closure cleaner parses
-    * that class for each, about 5 ms per operator on the driver, per request.
-    */
-  private def grouped[K, V: ClassTag](records: Iterator[(K, V)]): Iterator[(K, Array[V])] = {
-    val groups = mutable.HashMap.empty[K, mutable.ArrayBuilder[V]]
-    for ((k, v) <- records) groups.getOrElseUpdate(k, mutable.ArrayBuilder.make[V]) += v
-    groups.iterator.map { case (k, b) => (k, b.result()) }
-  }
-
-  /** Inner join of two partitions of one partitioner: each left record
-    * with every right value of its key.
-    */
-  private def joined[K, V, W: ClassTag](left: Iterator[(K, V)], right: Iterator[(K, W)]): Iterator[(K, (V, W))] = {
-    val byKey = grouped(right).toMap
-    left.flatMap { case (k, v) => byKey.getOrElse(k, Array.empty[W]).iterator.map(w => (k, (v, w))) }
   }
 
   /** Full join: (`sid`, `tid`, `sim`) with USIM(S,T) ≥ θ (Algorithm 6). */
@@ -196,8 +185,7 @@ object SparkJoin {
     val order = precomputedOrder.getOrElse(LocalJoin.buildOrder(k,
       if (selfJoin) l.strings else l.strings ++ r.strings, cfg.measures, cfg.q))
     val (bs, bk) = (broadcast(spark, l, r), broadcast(spark, k))
-    verified(spark, overlaps(spark, bs, bk, broadcast(spark, order), cfg, selfJoin).map(c => (c._1, c._2)),
-      bs, bk, cfg, selfJoin)
+    verified(spark, overlaps(spark, bs, bk, order, cfg, selfJoin).map(c => (c._1, c._2)), bs, bk, cfg, selfJoin)
   }
 
   /** Verification stage over candidates with columns `sid` and `tid`,

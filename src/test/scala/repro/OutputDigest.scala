@@ -21,7 +21,8 @@ import repro.tune.{CostModel, TauSuggest}
   * are sorted before they are hashed, so row order does not count.
   *
   * The extended digest covers the same records and, on the same
-  * collections and configurations, `LocalJoin.join`'s results as (i, j,
+  * collections and configurations, cross-join `candidates` as (sid, tid,
+  * overlap), `LocalJoin.join`'s results as (i, j,
   * sim bits) and its `JoinStats` (the average signature length as bits),
   * self and cross, with an order from `buildOrder` and without one; and
   * `TauSuggest.suggest` for both AU algorithms under `CostModel.Default`,
@@ -94,6 +95,8 @@ object OutputDigest {
         put(s"$clue self-join", triples(SparkJoin.join(spark, df, df, k, cfg, selfJoin = true,
           precomputedOrder = Some(order)), "sim"))
         put(s"$clue cross-join", triples(SparkJoin.join(spark, left, right, k, cfg), "sim"))
+        putExtended(s"$clue cross candidates",
+          triples(SparkJoin.candidates(spark, left, right, k, crossOrder, cfg), "overlap"))
         putExtended(s"$clue local self-join", local(LocalJoin.join(k, strings, strings, cfg, selfJoin = true,
           precomputedOrder = Some(order))))
         putExtended(s"$clue local self-join, own order",

@@ -1,10 +1,12 @@
 package repro.join
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropHelpers
 import repro.core._
 import repro.data.TextGen
 
-class LocalJoinSpec extends AnyFunSuite {
+class LocalJoinSpec extends AnyFunSuite with PropHelpers {
   val gctx: TextGen.GenContext = TextGen.context(TextGen.MedLite)
   val k: Knowledge = gctx.knowledge
   val ds: TextGen.JoinDataset = TextGen.joinDataset(gctx, n = 120, seed = 5L)
@@ -150,6 +152,37 @@ class LocalJoinSpec extends AnyFunSuite {
       case (code, c) if c >= tau => ((code >> 32).toInt, code.toInt)
     }.toVector.sorted
     (processed, cands)
+  }
+
+  test("probing any split of S's positions gives filterStage's pairs, overlaps and T_τ") {
+    // sorted, distinct ranks; some signatures empty, ranks one side lacks
+    val sig = Gen.frequency(1 -> Gen.const(Array.empty[Int]),
+      3 -> Gen.containerOf[Set, Int](Gen.choose(0, 11)).map(_.toArray.sorted))
+    val sigs = Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(0, 25)).flatMap(Gen.listOfN(_, sig)).map(_.toVector)
+    val input = for {
+      (sigS, sigT) <- Gen.zip(sigs, sigs)
+      selfJoin <- Gen.oneOf(true, false)
+      tau <- Gen.choose(1, 4)
+      parts <- Gen.choose(1, 30) // more parts than positions leaves some empty
+      cuts <- Gen.listOfN(parts - 1, Gen.choose(0, sigS.length))
+    } yield (sigS, sigT, selfJoin, tau, parts, cuts.sorted)
+    check(input, n = 400) { case (sigS, sigT, selfJoin, tau, parts, cuts) =>
+      val clue = s"|S|=${sigS.length} |T|=${sigT.length} selfJoin=$selfJoin τ=$tau parts=$parts"
+      val (wantT, wantPairs) = LocalJoin.filterStage(sigS, sigT, tau, selfJoin)
+      val index = LocalJoin.index(if (selfJoin) sigS else sigT)
+      val bounds = 0 +: cuts :+ sigS.length
+      val ranges = bounds.indices.tail.map(b => bounds(b - 1) until bounds(b))
+      val strided = (0 until parts).map(p => p until sigS.length by parts)
+      for ((split, ordered) <- Seq((ranges, true), (strided, false))) {
+        val got = Vector.newBuilder[(Int, Int, Int)]
+        val t = split.map(index.probe(sigS, _, tau, selfJoin)((i, j, n) => got += ((i, j, n)))).sum
+        val triples = got.result()
+        assert(t == wantT, clue)
+        assert((if (ordered) triples else triples.sorted).map(c => (c._1, c._2)) == wantPairs, clue)
+        for ((i, j, n) <- triples)
+          assert(n == sigS(i).intersect((if (selfJoin) sigS else sigT)(j)).length, s"$clue ($i, $j)")
+      }
+    }
   }
 
   test("filterStage equals the string-keyed filter it replaced") {

@@ -118,6 +118,24 @@ class SparkJoinSpec extends SparkSpec {
     )
   }
 
+  test("Oracle: cross-join candidates match DuckDB over both sides' exploded signatures") {
+    val cfg = LocalJoin.Config(0.8, 2, SigAlgo.AUHeuristic)
+    // the sides share strings, at different ids
+    val (left, right) = (ds.strings.take(60), ds.strings.drop(40).take(60))
+    val order = LocalJoin.buildOrder(k, left ++ right, cfg.measures, cfg.q)
+    val cands = SparkJoin.candidates(spark, toDF(left), toDF(right), k, order, cfg)
+    assert(cands.count() > 0)
+    Oracle.assertEquivalent(
+      cands,
+      s"""SELECT l.id AS sid, r.id AS tid, count(*) AS overlap
+         |FROM sigl l JOIN sigr r ON l.key = r.key
+         |GROUP BY l.id, r.id
+         |HAVING count(*) >= ${cfg.tau}""".stripMargin,
+      "sigl" -> signatureRows(left, order, cfg),
+      "sigr" -> signatureRows(right, order, cfg),
+    )
+  }
+
   test("Oracle catches wrong results") {
     val cfg = LocalJoin.Config(0.8, 2, SigAlgo.AUHeuristic)
     val strings = ds.strings.take(80)
@@ -237,8 +255,8 @@ class SparkJoinSpec extends SparkSpec {
     }
   }
 
-  /** The stages of the one job that `run` starts, seen by a `SparkListener`. */
-  private def stagesOf(run: => Unit): Vector[StageInfo] = {
+  /** The stages of each job that `run` starts, by job, seen by a `SparkListener`. */
+  private def jobsOf(run: => Unit): Vector[Vector[StageInfo]] = {
     val sc = spark.sparkContext
     val tag = "repro.test.plan"
     val jobs = new ConcurrentLinkedQueue[SparkListenerJobStart]()
@@ -268,33 +286,54 @@ class SparkJoinSpec extends SparkSpec {
       sc.setLocalProperty(tag, null)
       sc.removeSparkListener(listener)
     }
-    assert(jobs.size == 1)
-    val ids = jobs.asScala.flatMap(_.stageIds).toSet
-    stages.asScala.filter(s => ids(s.stageId)).toVector
+    jobs.asScala.toVector.sortBy(_.jobId).map { job =>
+      val ids = job.stageIds.toSet
+      stages.asScala.filter(s => ids(s.stageId)).toVector
+    }
   }
 
-  test("self-join in 3 stages, cross-join in 4, no string shuffled") {
+  test("a join runs two jobs of one stage each and shuffles nothing") {
     val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
     // the sides of the cross-join share strings, so it has results, at different ids
-    for ((left, right, selfJoin, nStages) <- Seq((ds.strings, ds.strings, true, 3),
-        (ds.strings.take(90), ds.strings.drop(60), false, 4))) {
+    for ((left, right, selfJoin) <- Seq((ds.strings, ds.strings, true),
+        (ds.strings.take(90), ds.strings.drop(60), false))) {
       val (l, r) = (toDF(left), toDF(right))
+      val rr = if (selfJoin) l else r
       val order = LocalJoin.buildOrder(k, if (selfJoin) left else left ++ right, cfg.measures, cfg.q)
-      // a stage that shuffles the strings writes one record per string;
-      // the signature stages write one per key
-      val perString = Set(left.length.toLong, right.length.toLong)
-      for (strings <- Seq(left, right))
-        assert(!perString(LocalJoin.signatures(k, strings, order, cfg).map(_.length.toLong).sum))
       // Spark memoizes `rdd` per frame, so a join reading a frame's rows in a task reads this RDD
       val frames = Set(l.rdd.id, r.rdd.id)
-      val ran = stagesOf(assert(SparkJoin.join(spark, l, if (selfJoin) l else r, k, cfg, selfJoin,
-        precomputedOrder = Some(order)).collect().nonEmpty))
-      val written = ran.map(s => s.name -> s.taskMetrics.shuffleWriteMetrics.recordsWritten)
-      assert(ran.length == nStages, written)
-      assert(written.count(_._2 > 0) == nStages - 1, written)
-      assert(!written.exists(w => perString(w._2)), written)
-      assert(!ran.exists(_.rddInfos.exists(i => frames(i.id))), ran.map(_.name))
+      for ((call, clue) <- Seq[(() => DataFrame, String)](
+          (() => SparkJoin.join(spark, l, rr, k, cfg, selfJoin, precomputedOrder = Some(order)), "join"),
+          (() => SparkJoin.candidates(spark, l, rr, k, order, cfg, selfJoin), "candidates"))) {
+        val jobs = jobsOf(assert(call().collect().nonEmpty))
+        val ran = jobs.flatten
+        val shuffled = ran.map(s => s.name ->
+          (s.taskMetrics.shuffleWriteMetrics.recordsWritten, s.taskMetrics.shuffleReadMetrics.recordsRead))
+        assert(jobs.map(_.length) == Vector(1, 1), s"$clue selfJoin=$selfJoin: $shuffled")
+        assert(shuffled.forall(_._2 == ((0L, 0L))), s"$clue selfJoin=$selfJoin: $shuffled")
+        assert(!ran.exists(_.rddInfos.exists(i => frames(i.id))), s"$clue selfJoin=$selfJoin: ${ran.map(_.name)}")
+      }
     }
+  }
+
+  test("joins under one knowledge instance share one broadcast; an equal copy gets its own") {
+    val cfg = LocalJoin.Config(0.75, 2, SigAlgo.AUHeuristic)
+    // instances no other test has joined under, with the content of `k`
+    val (k1, k2) = (new Knowledge(k.rules, k.taxonomy), new Knowledge(k.rules, k.taxonomy))
+    val df = toDF(ds.strings)
+    val order = LocalJoin.buildOrder(k, ds.strings, cfg.measures, cfg.q)
+    def joined(kk: Knowledge) = simBits(SparkJoin.join(spark, df, df, kk, cfg, selfJoin = true, Some(order)))
+    val want = joined(k)
+    val first = joined(k1)
+    val id = SparkJoin.knowledgeBroadcastId(spark, k1)
+    val cands = SparkJoin.candidates(spark, df, df, k1, order, cfg, selfJoin = true)
+    val verified = simBits(SparkJoin.verify(spark, cands, df, df, k1, cfg))
+    val second = joined(k1)
+    assert(SparkJoin.knowledgeBroadcastId(spark, k1) == id)
+    val copy = joined(k2)
+    assert(SparkJoin.knowledgeBroadcastId(spark, k2) != id)
+    assert(SparkJoin.knowledgeBroadcastId(spark, k1) == id)
+    assert(want.nonEmpty && first == want && verified == want && second == want && copy == want)
   }
 
   test("join, candidates and verify reject repeated ids, naming the id") {
