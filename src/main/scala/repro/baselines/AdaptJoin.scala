@@ -9,7 +9,8 @@ import repro.join.{LocalJoin, Pebbles}
   * For whole-string q-gram Jaccard ≥ θ, two gram sets must overlap by
   * ≥ ⌈θ·|G(S)|⌉ grams, so the ℓ-prefix of length
   * |G| − ⌈θ·|G|⌉ + ℓ (grams sorted rarest-first) guarantees ≥ ℓ common
-  * prefix grams between similar strings. Larger ℓ → longer prefixes
+  * prefix grams between similar strings when either needs ℓ in common
+  * (two shorter ones also meet on 1-prefixes). Larger ℓ → longer prefixes
   * but fewer candidates; AdaptJoin picks ℓ by a cost estimate. We pick
   * one global ℓ by estimating candidates on a sample (the original
   * picks per-string; the global variant keeps the same trade-off, see
@@ -46,7 +47,15 @@ object AdaptJoin {
       q: Int,
   ): Vector[(Int, Int)] = {
     val prefixes = strings.map(prefix(_, theta, ell, order, q))
-    LocalJoin.filterStage(prefixes, prefixes, tau = ell, selfJoin = true)._2
+    val found = LocalJoin.filterStage(prefixes, prefixes, tau = ell, selfJoin = true)._2
+    // A similar pair shares o ≥ ⌈θ·|G|⌉ grams of each string, and the
+    // ℓ-prefixes guarantee ℓ of them only when o ≥ ℓ; strings with
+    // ⌈θ·|G|⌉ < ℓ (whole-set prefixes) also meet each other on 1-prefixes.
+    val short = strings.indices.filter(i => math.ceil(theta * grams(strings(i), q).length).toInt < ell)
+    val ones = short.map(i => prefix(strings(i), theta, 1, order, q))
+    val more = LocalJoin.filterStage(ones, ones, tau = 1, selfJoin = true)._2
+      .map { case (a, b) => (short(a), short(b)) }
+    if (more.isEmpty) found else (found ++ more).distinct.sorted
   }
 
   /** Choose the global ℓ minimising estimated cost on a sample. */

@@ -53,6 +53,36 @@ object Measures {
     math.max(dir(a, b), dir(b, a))
   }
 
+  /** Eq (2) over rule-side codes (`SegmentLookups.ruleSides`): the largest
+    * C(R) of a code of `codes` whose partner `code ^ 1` is in `others` (one
+    * segment's codes, or a whole string's), else 0, as the span overload.
+    */
+  private[core] def synonym(k: Knowledge, codes: Array[Int], others: Array[Int]): Double = {
+    var best = 0.0
+    var x = 0
+    while (x < codes.length) {
+      val c = k.rule(codes(x) >>> 1).c
+      if (c > best) {
+        val partner = codes(x) ^ 1
+        var y = 0
+        while (y < others.length && others(y) != partner) y += 1
+        if (y < others.length) best = c
+      }
+      x += 1
+    }
+    best
+  }
+
+  /** Eq (3) over two entities' root paths (`SegmentLookups.paths`): |LCA|
+    * is their common prefix's length, so this is `Taxonomy.sim`'s double.
+    */
+  private[core] def taxonomy(a: Array[Int], b: Array[Int]): Double = {
+    val n = math.min(a.length, b.length)
+    var lca = 0
+    while (lca < n && a(lca) == b(lca)) lca += 1
+    lca.toDouble / math.max(a.length, b.length)
+  }
+
   /** Taxonomy similarity (Eq 3) if both spans name taxonomy entities, else 0. */
   def taxonomy(k: Knowledge, a: Vector[String], b: Vector[String]): Double =
     (k.taxonomy.node(a), k.taxonomy.node(b)) match {

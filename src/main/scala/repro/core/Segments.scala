@@ -55,22 +55,19 @@ class SegmentLookups(val knowledge: Knowledge, val segments: IndexedSeq[Segment]
   private def each[A: scala.reflect.ClassTag](f: Vector[String] => A): Array[A] =
     segments.iterator.map(s => f(s.tokens)).toArray
 
-  /** The rules with each segment as lhs or rhs, in `Knowledge.rulesTouching` order. */
-  lazy val rules: Array[Seq[Int]] = each(knowledge.rulesTouching)
-
-  /** The rules whose lhs is each segment, in `Knowledge.byLhs` order. */
-  lazy val lhsRules: Array[Array[Int]] = each(knowledge.byLhs.getOrElse(_, Nil).toArray)
-
-  /** The rule sides each segment is, in `rules` order: code 2·rid for
-    * rule rid's lhs, 2·rid + 1 for its rhs, so a segment that is one side
-    * of a rule meets the other side's code `code ^ 1`.
+  /** The rule sides each segment is, its rules in `Knowledge.rulesTouching`
+    * order: code 2·rid for rule rid's lhs, 2·rid + 1 for its rhs (both,
+    * lhs first, when the two sides are equal), so a segment that is one
+    * side of a rule meets the other side's code `code ^ 1`.
     */
-  lazy val ruleSides: Array[Array[Int]] = Array.tabulate(segments.length) { si =>
-    val toks = segments(si).tokens
-    rules(si).iterator.flatMap { rid =>
+  lazy val ruleSides: Array[Array[Int]] = each { toks =>
+    val codes = Array.newBuilder[Int]
+    for (rid <- knowledge.rulesTouching(toks)) {
       val r = knowledge.rule(rid)
-      Iterator(r.lhs, r.rhs).zipWithIndex.collect { case (side, rhs) if side == toks => 2 * rid + rhs }
-    }.toArray
+      if (r.lhs == toks) codes += 2 * rid
+      if (r.rhs == toks) codes += 2 * rid + 1
+    }
+    codes.result()
   }
 
   /** Each segment's taxonomy node, −1 if it names none. */

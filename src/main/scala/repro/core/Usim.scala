@@ -16,14 +16,18 @@ object Usim {
     */
   val ExactVertexCap = 34
 
+  /** The conflict graph of two raw strings, prepared on a fresh gram table. */
   def graph(
       k: Knowledge,
       s: String,
       t: String,
       measures: MeasureSet = MeasureSet.TJS,
       q: Int = Measures.DefaultQ,
-  ): UsimGraph =
-    UsimGraph.build(k, Tokenizer.tokens(s), Tokenizer.tokens(t), measures, q)
+  ): UsimGraph = {
+    val grams = new UsimGraph.GramTable
+    UsimGraph.build(k, UsimGraph.side(PreparedString(k, s), q, grams),
+      UsimGraph.side(PreparedString(k, t), q, grams), measures)
+  }
 
   // ---------------------------------------------------------------- approx
 

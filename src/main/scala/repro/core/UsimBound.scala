@@ -8,9 +8,9 @@ package repro.core
   *  - J: |G(P) ∩ G(T)| / |G(P)|, G(T) the union of T's segments' gram
   *    sets. Distinct grams, not pebble mass: a segment that repeats a
   *    gram weighs each occurrence less than the set Jaccard counts it.
-  *  - S: the largest C(R) over the rules with P on one side and a span
-  *    of T on the other.
-  *  - T: the largest taxonomy similarity of P's node to T's entities.
+  *  - S: Eq 2 against the whole of T: the largest C(R) over the rules
+  *    with P on one side and a span of T on the other.
+  *  - T: the largest Eq 3 of P's node to T's entities.
   *
   * An independent set A induces a tiling of S with c = |A| + |S| − cov_S
   * tiles (uncovered tokens as singletons) and one of T with at least
@@ -64,24 +64,15 @@ final class UsimBound(k: Knowledge, measures: MeasureSet) {
       if (hit > 0) u = hit.toDouble / pos.length
     }
     if (measures.s) {
-      val codes = s.ruleSides(si)
-      var x = 0
-      while (x < codes.length) {
-        val c = k.rule(codes(x) >>> 1).c
-        if (c > u && java.util.Arrays.binarySearch(t.allRuleSides, codes(x) ^ 1) >= 0) u = c
-        x += 1
-      }
+      val x = Measures.synonym(k, s.prepared.ruleSides(si), t.allRuleSides)
+      if (x > u) u = x
     }
-    if (measures.t && s.nodes(si) >= 0) {
-      val a = s.paths(si)
+    if (measures.t && s.prepared.nodes(si) >= 0) {
+      val a = s.prepared.paths(si)
+      val paths = t.prepared.paths
       var x = 0
       while (x < t.entities.length) {
-        // Eq 3 from the root paths: |LCA| is their common prefix's length
-        val b = t.paths(t.entities(x))
-        val n = math.min(a.length, b.length)
-        var lca = 0
-        while (lca < n && a(lca) == b(lca)) lca += 1
-        val sim = lca.toDouble / math.max(a.length, b.length)
+        val sim = Measures.taxonomy(a, paths(t.entities(x)))
         if (sim > u) u = sim
         x += 1
       }
@@ -98,9 +89,10 @@ final class UsimBound(k: Knowledge, measures: MeasureSet) {
     if (best.length < w * w) best = new Array[Double](w * w)
     java.util.Arrays.fill(best, 0, w * w, -1.0)
     best(0) = 0.0
+    val segs = s.prepared.segments
     var si = 0
-    while (si < s.segs.length) { // by start, so every tiling of [0, start) is final
-      val seg = s.segs(si)
+    while (si < segs.length) { // by start, so every tiling of [0, start) is final
+      val seg = segs(si)
       val u = segment(s, si, t, shared)
       val from = seg.start * w
       val to = seg.end * w + 1

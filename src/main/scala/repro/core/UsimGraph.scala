@@ -84,31 +84,25 @@ object UsimGraph {
   }
 
   /** One string's half of every conflict graph it takes part in: its
-    * well-defined segments with what the builder reads per segment —
-    * q-gram ids (sorted, from `grams`) and its prepared string's
-    * lookups (`SegmentLookups`: taxonomy node, −1 if none, and its path
-    * from the root, empty if none; the rules whose lhs is the segment;
-    * the rule-side codes it is) — and the coverage masks, single-token
-    * and entity segments derived from them.
+    * prepared string, whose segments and lookups (`SegmentLookups`:
+    * rule-side codes, taxonomy node, −1 if none, and its path from the
+    * root, empty if none) `build` reads in place, with what it adds
+    * per segment — q-gram ids (sorted, from `grams`), coverage masks,
+    * the single-token and entity segments, and the segments by rule side.
     */
-  final class Side private[UsimGraph] (
-      val len: Int,
-      val q: Int,
-      val grams: GramTable,
-      val segs: Array[Segment],
-      val gramIds: Array[Array[Int]],
-      val nodes: Array[Int],
-      val paths: Array[Array[Int]],
-      val lhsRules: Array[Array[Int]],
-      val ruleSides: Array[Array[Int]],
-  ) {
-    val masks: Array[Long] = segs.map(mask)
-    val singles: Array[Int] = segs.indices.filter(segs(_).length == 1).toArray
-    val entities: Array[Int] = nodes.indices.filter(nodes(_) >= 0).toArray
+  final class Side private[UsimGraph] (val prepared: PreparedString, val q: Int, val grams: GramTable) {
+    val len: Int = prepared.tokens.length
+    val gramIds: Array[Array[Int]] = prepared.segments.iterator.map(s => grams.ids(s.text, q)).toArray
+    val masks: Array[Long] = prepared.segments.iterator.map(mask).toArray
+    val singles: Array[Int] = prepared.segments.indices.filter(prepared.segments(_).length == 1).toArray
+    val entities: Array[Int] = prepared.segments.indices.filter(prepared.nodes(_) >= 0).toArray
 
-    /** Segment indices by token span; looked up when this is T's side. */
-    lazy val bySpan: Map[Vector[String], Seq[Int]] =
-      segs.indices.groupBy(i => segs(i).tokens).view.mapValues(_.toSeq).toMap
+    /** Every rule side that is a span of the string, sorted, distinct. */
+    lazy val allRuleSides: Array[Int] = sortedDistinct(prepared.ruleSides.flatten)
+
+    /** The segments that are each of `allRuleSides`, ascending; read when this is T's side. */
+    lazy val bySide: Array[Array[Int]] =
+      allRuleSides.map(code => prepared.segments.indices.filter(prepared.ruleSides(_).contains(code)).toArray)
 
     // What `UsimBound` reads of the string; only bounded verification
     // needs it.
@@ -120,41 +114,21 @@ object UsimGraph {
     lazy val gramPos: Array[Array[Int]] =
       gramIds.map(_.map(java.util.Arrays.binarySearch(gramUnion, _)))
 
-    /** Every rule side that is a span of the string, sorted, distinct. */
-    lazy val allRuleSides: Array[Int] = sortedDistinct(ruleSides.flatten)
-
     /** The fewest segments of any tiling of the string by its segments. */
     lazy val minParts: Int = {
       val fewest = Array.fill(len + 1)(len)
       fewest(0) = 0
-      for (seg <- segs) fewest(seg.end) = math.min(fewest(seg.end), fewest(seg.start) + 1)
+      for (seg <- prepared.segments) fewest(seg.end) = math.min(fewest(seg.end), fewest(seg.start) + 1)
       fewest(len)
     }
   }
 
   /** Prepares a string's side for `build` from its prepared string:
-    * gram ids on `grams`, the lookups shared, once per string instead
-    * of once per pair.
+    * gram ids on `grams`, once per string instead of once per pair.
     */
   def side(p: PreparedString, q: Int, grams: GramTable): Side = {
     require(p.tokens.length <= 64, "strings longer than 64 tokens unsupported")
-    val segs = p.segments.toArray
-    new Side(p.tokens.length, q, grams, segs, segs.map(s => grams.ids(s.text, q)),
-      p.nodes, p.paths, p.lhsRules, p.ruleSides)
-  }
-
-  /** Graph construction of §2.3 from raw token sequences: prepares both
-    * sides on a fresh gram table and builds from them.
-    */
-  def build(
-      k: Knowledge,
-      sToks: Vector[String],
-      tToks: Vector[String],
-      measures: MeasureSet = MeasureSet.TJS,
-      q: Int = Measures.DefaultQ,
-  ): UsimGraph = {
-    val grams = new GramTable
-    build(k, side(PreparedString(k, sToks), q, grams), side(PreparedString(k, tToks), q, grams), measures)
+    new Side(p, q, grams)
   }
 
   /** Graph construction of §2.3: enumerate candidate segment pairs per
@@ -165,8 +139,9 @@ object UsimGraph {
   def build(k: Knowledge, s: Side, t: Side, measures: MeasureSet): UsimGraph = {
     require(s.grams eq t.grams, "sides must be prepared on one gram table")
     require(s.q == t.q, "sides must be prepared with one q")
-    val nT = t.segs.length
-    val seen = new Array[Long]((s.segs.length * nT + 63) >>> 6)
+    val (sp, tp) = (s.prepared, t.prepared)
+    val nT = tp.segments.length
+    val seen = new Array[Long]((sp.segments.length * nT + 63) >>> 6)
     val cand = mutable.ArrayBuilder.make[Int]
     def add(si: Int, ti: Int): Unit = {
       val c = si * nT + ti
@@ -175,13 +150,10 @@ object UsimGraph {
 
     // (c) single-token pairs — gram Jaccard applies to any of them.
     if (measures.j) for (si <- s.singles; ti <- t.singles) add(si, ti)
-    // (a) synonym-rule pairs, either direction.
-    if (measures.s) {
-      for (si <- s.segs.indices; code <- s.ruleSides(si)) {
-        val r = k.rule(code >>> 1)
-        val other = if ((code & 1) == 0) r.rhs else r.lhs
-        for (ti <- t.bySpan.getOrElse(other, Nil)) add(si, ti)
-      }
+    // (a) synonym-rule pairs: each rule side of S meets its partner side in T.
+    if (measures.s) for (si <- sp.ruleSides.indices; code <- sp.ruleSides(si)) {
+      val at = java.util.Arrays.binarySearch(t.allRuleSides, code ^ 1)
+      if (at >= 0) for (ti <- t.bySide(at)) add(si, ti)
     }
     // (b) taxonomy-entity pairs.
     if (measures.t) for (si <- s.entities; ti <- t.entities) add(si, ti)
@@ -200,35 +172,22 @@ object UsimGraph {
       var w = 0.0
       if (measures.j) w = Measures.jaccard(s.gramIds(si), t.gramIds(ti))
       if (measures.s) {
-        val x = math.max(synonym(k, s.lhsRules(si), t.segs(ti).tokens),
-                         synonym(k, t.lhsRules(ti), s.segs(si).tokens))
+        val x = Measures.synonym(k, sp.ruleSides(si), tp.ruleSides(ti))
         if (x > w) w = x
       }
-      if (measures.t && s.nodes(si) >= 0 && t.nodes(ti) >= 0) {
-        val x = k.taxonomy.sim(s.nodes(si), t.nodes(ti))
+      if (measures.t && sp.nodes(si) >= 0 && tp.nodes(ti) >= 0) {
+        val x = Measures.taxonomy(sp.paths(si), tp.paths(ti))
         if (x > w) w = x
       }
       if (w > 0.0) {
         ws(n) = w
         mS(n) = s.masks(si)
         mT(n) = t.masks(ti)
-        vs(n) = s.segs(si)
-        vt(n) = t.segs(ti)
+        vs(n) = sp.segments(si)
+        vt(n) = tp.segments(ti)
         n += 1
       }
     }
     new UsimGraph(s.len, t.len, ws.take(n), mS.take(n), mT.take(n), vs.take(n), vt.take(n))
-  }
-
-  /** Eq (2) in one direction: the largest C(R) among `lhsRules` whose
-    * rhs is `rhs`, else 0.
-    */
-  private def synonym(k: Knowledge, lhsRules: Array[Int], rhs: Vector[String]): Double = {
-    var best = 0.0
-    for (rid <- lhsRules) {
-      val r = k.rule(rid)
-      if (r.rhs == rhs && r.c > best) best = r.c
-    }
-    best
   }
 }

@@ -29,8 +29,8 @@ object Pebbles {
     * by segment, then measure J < S < T.
     *
     * Jaccard: each q-gram of segment P, weight 1/|G(P,q)|.
-    * Synonym: lhs(R) for each rule R touching P, weight C(R) — both the
-    * lhs-side and the rhs-side string emit the lhs key so they collide.
+    * Synonym: lhs(R) for each rule R of P's rule-side codes, weight C(R) —
+    * both the lhs-side and the rhs-side string emit the lhs key so they collide.
     * Taxonomy: the matched node and all its ancestors, each 1/|n|.
     */
   def generate(s: SegmentLookups, measures: MeasureSet, q: Int): Vector[PebbleInstance] = {
@@ -43,8 +43,9 @@ object Pebbles {
         grams.foreach(g => out += PebbleInstance("g:" + g, w, si, 'J'))
       }
       if (measures.s) {
-        for (rid <- s.rules(si)) {
-          val r = s.knowledge.rule(rid)
+        val codes = s.ruleSides(si) // a rule's codes are adjacent: one pebble per rule
+        for (x <- codes.indices if x == 0 || (codes(x) >>> 1) != (codes(x - 1) >>> 1)) {
+          val r = s.knowledge.rule(codes(x) >>> 1)
           out += PebbleInstance("s:" + Tokenizer.text(r.lhs), r.c, si, 'S')
         }
       }

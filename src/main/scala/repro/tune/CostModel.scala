@@ -14,9 +14,9 @@ final case class CostModel(cf: Double, cv: Double) {
 object CostModel {
 
   /** Ballpark constants for unit tests, not calibrated: verification
-    * 200× filtering. Calibration on the perfbench collections measures
-    * c_f 40–90 ns and c_v 16–23 µs, 200–400× (c_v includes preparing
-    * the sample's sides).
+    * 200× filtering. Calibration on the perfbench collections has read
+    * c_v 16–31 µs on med and 11 µs on wiki, most of it preparing the
+    * sample's sides.
     */
   val Default: CostModel = CostModel(cf = 40.0, cv = 8000.0)
 

@@ -2,6 +2,7 @@ package repro
 
 import java.security.MessageDigest
 import org.apache.spark.sql.DataFrame
+import repro.baselines.KJoin
 import repro.core.{MeasureSet, Measures}
 import repro.data.TextGen
 import repro.jobs.JobUtil
@@ -24,7 +25,9 @@ import repro.tune.{CostModel, TauSuggest}
   * collections and configurations, cross-join `candidates` as (sid, tid,
   * overlap), `LocalJoin.join`'s results as (i, j,
   * sim bits) and its `JoinStats` (the average signature length as bits),
-  * self and cross, with an order from `buildOrder` and without one; and
+  * self and cross, with an order from `buildOrder` and without one;
+  * `KJoin.join`'s self-join at the workload's θ as (i, j, sim bits), the
+  * one caller that verifies under `MeasureSet.T` alone; and
   * `TauSuggest.suggest` for both AU algorithms under `CostModel.Default`,
   * which times nothing: τ, iterations, and Ĉ/T̂/V̂ per τ as bits.
   *
@@ -105,6 +108,8 @@ object OutputDigest {
           precomputedOrder = Some(crossOrder))))
         putExtended(s"$clue local cross-join, own order", local(LocalJoin.join(k, ls, rs, cfg)))
       }
+      putExtended(s"$name K-Join self-join",
+        KJoin.join(k, strings, w.theta).map { case (i, j, sim) => s"$i $j ${bits(sim)}" })
       for (algo <- Seq(SigAlgo.AUHeuristic, SigAlgo.AUDp)) {
         val r = TauSuggest.suggest(k, strings, order, LocalJoin.Config(w.theta, 1, algo, MeasureSet.TJS),
           universe = Seq(1, 2, 4, 6, 8), ps = 0.05, cost = CostModel.Default, nStar = 10, maxIter = 120)

@@ -82,7 +82,7 @@ class AdaptJoinSpec extends AnyFunSuite {
         val w = gctx.vocab(i % gctx.vocab.length)
         s"$w ${TextGen.typo(w, rng)}"
       }
-    }
+    } ++ Vector("ab", "ab", "abc", "abc", "xyzzy", "xyzzy") // fewer grams than ℓ needs in common
     for (theta <- Seq(0.7, 0.85)) {
       val got = AdaptJoin.join(strings, theta).map(r => (r._1, r._2)).toSet
       val want = (for {

@@ -22,7 +22,7 @@ class SquareImpSpec extends AnyFunSuite with PropHelpers {
       Rule(sToks.slice(a, b), tToks.slice(c, d), 0.1 + 0.9 * rng.nextDouble())
     }.distinctBy(r => (r.lhs, r.rhs))
     val k = new Knowledge(rules, Knowledge.empty.taxonomy)
-    UsimGraph.build(k, sToks, tToks, MeasureSet.S)
+    Usim.graph(k, Tokenizer.text(sToks), Tokenizer.text(tToks), MeasureSet.S)
   }
 
   private def bruteMaxWeightIS(g: UsimGraph): Double = {

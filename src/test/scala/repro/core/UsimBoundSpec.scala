@@ -108,6 +108,12 @@ class UsimBoundSpec extends AnyFunSuite {
     }
   }
 
+  test("property: rule-side edge cases (equal sides, two C(R) for one pair of sides, both sides in one string)") {
+    val strings = RuleSideEdges.strings
+    for (i <- strings.indices; j <- i until strings.length; m <- measureSets)
+      holds(RuleSideEdges.k, strings(i), strings(j), m)
+  }
+
   test("property: Table 9 conflict instances (multi-token rules that overlap)") {
     for (kk <- 2 to 6; seed <- 0L until 30L) {
       val (k, s, t) = TextGen.conflictInstance(kk, seed)

@@ -20,6 +20,28 @@ object Figure2 {
   def graph: UsimGraph = Usim.graph(k, s, t, MeasureSet.S)
 }
 
+/** A knowledge that puts rule-side matching at its edges: rules whose
+  * two sides are equal (one and two tokens), two rules between the same
+  * pair of sides with different C(R) and a third the other way round, a
+  * chain of rules through one side, and rule sides that are taxonomy
+  * entities too. Several strings hold both sides of one rule.
+  */
+object RuleSideEdges {
+  val k: Knowledge = new Knowledge(Vector(
+    Rule(Vector("aa"), Vector("aa"), 0.6),
+    Rule(Vector("bb", "cc"), Vector("bb", "cc"), 0.4),
+    Rule(Vector("dd"), Vector("ee", "ff"), 0.3),
+    Rule(Vector("dd"), Vector("ee", "ff"), 0.8),
+    Rule(Vector("ee", "ff"), Vector("dd"), 0.5),
+    Rule(Vector("gg"), Vector("hh"), 0.7),
+    Rule(Vector("hh"), Vector("kk", "ll"), 0.9),
+    Rule(Vector("aa"), Vector("dd"), 0.2),
+  ), Taxonomy.fromEdges("root", Seq("aa" -> "root", "ee ff" -> "aa", "gg" -> "aa", "kk" -> "root",
+    "kk ll" -> "kk")))
+  val strings: Vector[String] = Vector("aa", "aa aa", "bb cc", "aa bb cc", "dd", "ee ff", "dd ee ff",
+    "ee ff dd", "ff ee dd aa", "gg hh", "hh kk ll", "kk ll gg", "dd bb cc ee ff aa", "bb cc bb cc", "xx")
+}
+
 /** A transcription of the per-pair graph builder that preceded
   * prepared sides (gram sets as `Set[String]`, every lookup made per
   * pair) — the reference `UsimGraph.build` is compared against.
@@ -137,8 +159,8 @@ class UsimGraphSpec extends AnyFunSuite {
     val tToks = Vector("alpine") ++ rule.rhs
     assert(Segments.wellDefined(med, sToks).exists(_.length > 1))
     assert(Segments.wellDefined(med, tToks).exists(_.length > 1))
-    assert(UsimGraph.build(med, sToks, tToks, MeasureSet.TJS).sSegs.exists(_.length > 1))
-    val gj = UsimGraph.build(med, sToks, tToks, MeasureSet.J)
+    assert(Usim.graph(med, Tokenizer.text(sToks), Tokenizer.text(tToks), MeasureSet.TJS).sSegs.exists(_.length > 1))
+    val gj = Usim.graph(med, Tokenizer.text(sToks), Tokenizer.text(tToks), MeasureSet.J)
     val want = for {
       i <- sToks.indices; j <- tToks.indices
       w = Measures.jaccard(sToks(i), tToks(j)) if w > 0.0
@@ -197,6 +219,8 @@ class UsimGraphSpec extends AnyFunSuite {
     val f1 = Vector("coffee shop latte", "cafe espresso", "apple cake gateau",
       "cake latte coffee drinks", "food wikipedia", "latte latte cake cake")
     graphs += check(Knowledge.figure1, f1, f1, allPairs(f1.length, f1.length), MeasureSet.all)
+    val edges = RuleSideEdges.strings
+    graphs += check(RuleSideEdges.k, edges, edges, allPairs(edges.length, edges.length), MeasureSet.all)
     for (kk <- 3 to 10; seed <- 0L until 10L) {
       val (k, s, t) = TextGen.conflictInstance(kk, seed)
       graphs += check(k, Vector(s), Vector(t), Iterator((0, 0)), MeasureSet.all)

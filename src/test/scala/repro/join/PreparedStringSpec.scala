@@ -74,7 +74,6 @@ class PreparedStringSpec extends AnyFunSuite {
         gramIds: Seq[Seq[Int]],
         nodes: Seq[Int],
         paths: Seq[Seq[Int]],
-        lhsRules: Seq[Seq[Int]],
         ruleSides: Seq[Seq[Int]],
         gramUnion: Seq[Int],
         minParts: Int,
@@ -89,7 +88,6 @@ class PreparedStringSpec extends AnyFunSuite {
       for (seg <- segs) fewest(seg.end) = math.min(fewest(seg.end), fewest(seg.start) + 1)
       Side(toks.length, segs.toSeq, gramIds.map(_.toSeq).toSeq, nodes.toSeq,
         nodes.map(n => if (n < 0) Seq.empty[Int] else k.taxonomy.ancestors(n).reverse).toSeq,
-        segs.map(s => k.byLhs.getOrElse(s.tokens, Nil)).toSeq,
         segs.map(s => k.rulesTouching(s.tokens).flatMap { rid =>
           val r = k.rule(rid)
           Seq(false, true).filter(rhs => (if (rhs) r.rhs else r.lhs) == s.tokens)
@@ -100,8 +98,8 @@ class PreparedStringSpec extends AnyFunSuite {
   }
 
   private def sideOf(s: UsimGraph.Side): Reference.Side =
-    Reference.Side(s.len, s.segs.toSeq, s.gramIds.map(_.toSeq).toSeq, s.nodes.toSeq,
-      s.paths.map(_.toSeq).toSeq, s.lhsRules.map(_.toSeq).toSeq, s.ruleSides.map(_.toSeq).toSeq,
+    Reference.Side(s.len, s.prepared.segments, s.gramIds.map(_.toSeq).toSeq, s.prepared.nodes.toSeq,
+      s.prepared.paths.map(_.toSeq).toSeq, s.prepared.ruleSides.map(_.toSeq).toSeq,
       s.gramUnion.toSeq, s.minParts)
 
   private val measureSets = Seq(MeasureSet.TJS, MeasureSet.J, MeasureSet.T)
@@ -150,6 +148,7 @@ class PreparedStringSpec extends AnyFunSuite {
       "cake latte coffee drinks", "", "   ", "food wikipedia cafe coffee shop")
     cases += check(Knowledge.figure1, figure1, "Figure 1")
     cases += check(Knowledge.empty, Vector("xyzabababab", "xyzab", "", " \t "), "no knowledge")
-    assert(cases == 3 * (4 * 80 + 7 + 4))
+    cases += check(RuleSideEdges.k, RuleSideEdges.strings, "rule-side edges")
+    assert(cases == 3 * (4 * 80 + 7 + 4 + RuleSideEdges.strings.length))
   }
 }
